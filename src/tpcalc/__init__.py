@@ -27,9 +27,11 @@ from .group_core import (
     are_conjugate,
     classify_structure,
     cp_rtimes_c2n,
+    cosets,
     cyclic,
     dihedral,
     direct_product,
+    double_cosets,
     elementary_abelian,
     field_frobenius,
     from_permutation_generators,
@@ -47,12 +49,10 @@ from .coset_graph import (
     CosetGraph,
     TVector,
     build_coset_graph,
-    double_cosets,
     frobenius_s2_check,
     s_bounds_check,
 )
 from .transversal import (
-    BigRational,
     BoundsReport,
     WeightMatrix,
     bounds_report,

@@ -18,8 +18,6 @@ from .errors import BudgetError, ParameterError, PreconditionError
 
 PROD_SCAN_MAX_SUM = 40
 
-Rational = Fraction
-
 # Vectors for the majorisation and product-comparison operations: any sequence
 # of non-negative reals; exact arithmetic kicks in when every entry is an
 # int or Fraction.
@@ -81,8 +79,19 @@ def next_prime(n: int) -> int:
     return k
 
 
-def primes_up_to(n: int) -> list[int]:
-    return [p for p in range(2, n + 1) if is_prime(p)]
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending (empty for n = 1)."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _int_valuation(n: int, p: int) -> int:

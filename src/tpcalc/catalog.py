@@ -296,11 +296,7 @@ def parse_catalog_file(path: Path | str) -> list[CatalogEntry]:
         if not ident or not builder:
             raise FormatError(f"{path}:{lineno}: empty id or builder")
         entries.append(CatalogEntry(id=ident, builder=builder, base_dir=path.parent))
-    seen: dict[str, int] = {}
-    for lineno, e in enumerate(entries, start=1):
-        if e.id in seen:
-            raise FormatError(f"{path}: duplicate id {e.id!r}")
-        seen[e.id] = lineno
+    _ensure_unique_ids(entries, source=str(path))
     return entries
 
 
@@ -311,11 +307,22 @@ def catalog_build(source: str | Path | None = None) -> list[CatalogEntry]:
 
 
 def catalog_hash(entries: Sequence[CatalogEntry]) -> str:
+    """Digest of the package version and, per entry, the id, builder text,
+    expected values and built Cayley table. Hashing the table, not only the
+    builder text, makes a rewritten `table`/`perm` input file change the hash."""
     payload = json.dumps(
-        [[e.id, e.builder, e.expected] for e in
-         sorted(entries, key=lambda e: e.id)],
+        [__version__] + [[e.id, e.builder, e.expected, _table_digest(e)] for e in
+                         sorted(entries, key=lambda e: e.id)],
         sort_keys=True).encode()
     return hashlib.sha256(payload).hexdigest()
+
+
+def _table_digest(entry: CatalogEntry) -> str | None:
+    try:
+        G = entry.group()
+    except TpcalcError:
+        return None  # the scan reports the builder failure for this entry
+    return hashlib.sha256(G.mul.tobytes()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +451,8 @@ def resolve_checks(names: Sequence[str] | None) -> list[str]:
 @dataclass
 class ResultsCache:
     """Append-friendly line-delimited JSON cache of computed tp results,
-    keyed by (catalog hash, group id). Stale or corrupt lines are skipped."""
+    keyed by (catalog hash, group id); the catalog hash covers the built
+    tables and the package version. Stale or corrupt lines are skipped."""
 
     path: Path
     entries: dict[tuple[str, str], dict] = field(default_factory=dict)

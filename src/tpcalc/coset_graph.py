@@ -15,11 +15,14 @@ from functools import cached_property
 
 import numpy as np
 
+from .arith_nt import prime_factors
 from .errors import PreconditionError, VerificationError
 from .group_core import (
     GroupTable,
     Subgroup,
     conjugator_count,
+    cosets,
+    double_cosets,
     is_normal_subgroup,
 )
 
@@ -74,48 +77,6 @@ class CosetGraph:
     def t_vector(self) -> TVector:
         return TVector(tuple(sorted((c.t for c in self.components), reverse=True)))
 
-    @cached_property
-    def weight_by_pair(self) -> np.ndarray:
-        """The n x n matrix |l_i H  intersect  K r_j| in rep order."""
-        return _intersection_matrix(self.parent, self.left_reps, self.H,
-                                    self.right_reps, self.K)
-
-
-def left_coset_reps(G: GroupTable, H: Subgroup) -> tuple[int, ...]:
-    """Minimal-index representatives of the left cosets gH, ascending."""
-    assigned = np.zeros(G.order, dtype=bool)
-    reps = []
-    for g in range(G.order):
-        if not assigned[g]:
-            assigned[G.mul[g, H.elem_array]] = True
-            reps.append(g)
-    return tuple(reps)
-
-
-def right_coset_reps(G: GroupTable, K: Subgroup) -> tuple[int, ...]:
-    """Minimal-index representatives of the right cosets Kg, ascending."""
-    assigned = np.zeros(G.order, dtype=bool)
-    reps = []
-    for g in range(G.order):
-        if not assigned[g]:
-            assigned[G.mul[K.elem_array, g]] = True
-            reps.append(g)
-    return tuple(reps)
-
-
-def _coset_membership(G: GroupTable, reps, sub: Subgroup, side: str) -> np.ndarray:
-    rows = np.zeros((len(reps), G.order), dtype=bool)
-    for i, r in enumerate(reps):
-        coset = G.mul[r, sub.elem_array] if side == "left" else G.mul[sub.elem_array, r]
-        rows[i, coset] = True
-    return rows
-
-
-def _intersection_matrix(G, left_reps, H, right_reps, K) -> np.ndarray:
-    L = _coset_membership(G, left_reps, H, "left").astype(np.int64)
-    R = _coset_membership(G, right_reps, K, "right").astype(np.int64)
-    return L @ R.T
-
 
 class _UnionFind:
     def __init__(self, n: int):
@@ -133,32 +94,6 @@ class _UnionFind:
             self.up[max(ra, rb)] = min(ra, rb)
 
 
-@dataclass(frozen=True)
-class DoubleCosets:
-    """Partition of G into (K,H)-double cosets, by minimal representative."""
-
-    reps: tuple[int, ...]
-    sizes: tuple[int, ...]
-    block_of: np.ndarray  # element index -> block index
-
-
-def double_cosets(G: GroupTable, H: Subgroup, K: Subgroup) -> DoubleCosets:
-    n = G.order
-    block_of = np.full(n, -1, dtype=np.int64)
-    reps, sizes = [], []
-    for g in range(n):
-        if block_of[g] >= 0:
-            continue
-        block = np.unique(G.mul[np.ix_(G.mul[K.elem_array, g], H.elem_array)])
-        block_of[block] = len(reps)
-        reps.append(g)
-        sizes.append(int(block.size))
-    if sum(sizes) != n:
-        raise VerificationError("double cosets do not cover the group")
-    block_of.setflags(write=False)
-    return DoubleCosets(tuple(reps), tuple(sizes), block_of)
-
-
 def build_coset_graph(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> CosetGraph:
     """Assemble the graph for (G, H, K) and assert every structural invariant:
     complete bipartite components with constant weight, weight * size = |H|,
@@ -173,9 +108,11 @@ def build_coset_graph(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> 
         raise PreconditionError(
             f"subgroups must have equal index, got {H.index} and {K.index}")
     n = H.index
-    lreps = left_coset_reps(G, H)
-    rreps = right_coset_reps(G, K)
-    W = _intersection_matrix(G, lreps, H, rreps, K)
+    left = cosets(G, H, "left")
+    right = cosets(G, K, "right")
+    lreps, rreps = left.reps, right.reps
+    # W[i, j] = |l_i H  intersect  K r_j|: count elements by (left, right) coset
+    W = np.bincount(left.ids * n + right.ids, minlength=n * n).reshape(n, n)
 
     uf = _UnionFind(2 * n)
     li, rj = np.nonzero(W)
@@ -202,8 +139,8 @@ def build_coset_graph(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> 
             raise VerificationError("weight * size != |H| in a component")
         if K.order % t != 0:
             raise VerificationError("component size does not divide |K|")
-        lmask = _coset_membership(G, [lreps[i] for i in lefts], H, "left").any(axis=0)
-        rmask = _coset_membership(G, [rreps[j] for j in rights], K, "right").any(axis=0)
+        lmask = np.isin(left.ids, lefts)
+        rmask = np.isin(right.ids, rights)
         if not np.array_equal(lmask, rmask):
             raise VerificationError("left and right coset unions differ in a component")
         rep = int(np.flatnonzero(lmask)[0])
@@ -247,19 +184,10 @@ def s_bounds_check(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> SBo
     if graph.H.order == 1:
         lower = upper = Fraction(n)
     else:
-        p = _smallest_prime(graph.H.order)
+        p = prime_factors(graph.H.order)[0]
         lower = Fraction(n - m, graph.H.order) + m
         upper = Fraction(n - m, p) + m
     return SBoundsReport(lower, upper, s, m, lower <= s <= upper)
-
-
-def _smallest_prime(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
 
 
 @dataclass(frozen=True)

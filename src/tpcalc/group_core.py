@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .arith_nt import is_prime, padic_valuation, prime_factors
 from .errors import (
     ActionError,
     FormatError,
@@ -324,7 +325,7 @@ def cyclic(n: int) -> GroupTable:
 
 
 def elementary_abelian(p: int, r: int) -> GroupTable:
-    if not _is_prime(p) or r < 1:
+    if not is_prime(p) or r < 1:
         raise ParameterError("elementary_abelian needs a prime p and r >= 1")
     n = p**r
     idx = np.arange(n)
@@ -372,7 +373,7 @@ def generalized_quaternion(order: int) -> GroupTable:
 
 def cp_rtimes_c2n(p: int, k: int) -> GroupTable:
     """C_p . C_{2^k} with the 2-part inverting the p-part: order p * 2^k."""
-    if not _is_prime(p) or p == 2:
+    if not is_prime(p) or p == 2:
         raise ParameterError("p must be an odd prime")
     if k < 1:
         raise ParameterError("k must be >= 1")
@@ -417,17 +418,6 @@ def make_named_family(family: str, *params: int) -> GroupTable:
     return _FAMILIES[family](*params)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 class _GaloisField:
     """GF(p^r) arithmetic with elements encoded as base-p digit strings.
 
@@ -436,14 +426,11 @@ class _GaloisField:
     """
 
     def __init__(self, q: int):
-        p = _smallest_prime_factor(q)
-        r = 0
-        m = q
-        while m > 1:
-            if m % p != 0:
-                raise ParameterError(f"{q} is not a prime power")
-            m //= p
-            r += 1
+        primes = prime_factors(q)
+        if len(primes) != 1:
+            raise ParameterError(f"{q} is not a prime power")
+        p = primes[0]
+        r = padic_valuation(q, p)
         self.p, self.r, self.q = p, r, q
         self.modulus = self._first_irreducible() if r > 1 else ()
 
@@ -517,17 +504,6 @@ def _poly_mod(num: Sequence[int], den: Sequence[int], p: int) -> list[int]:
     while num and num[-1] == 0:
         num.pop()
     return num
-
-
-def _smallest_prime_factor(n: int) -> int:
-    if n < 2:
-        raise ParameterError("need n >= 2")
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -722,8 +698,7 @@ def all_subgroups(G: GroupTable, cap: int = SUBGROUP_ORDER_CAP) -> list[Subgroup
         work = list(found.values())
         while work:
             H = work.pop()
-            reps = _double_coset_reps(G, H.elem_array, H.elem_array)
-            for r in reps:
+            for r in double_cosets(G, H, H).reps:
                 if H.mask[r]:
                     continue
                 key = tuple(int(v) for v in closure_of(G, list(H.elems) + [int(r)]))
@@ -736,18 +711,53 @@ def all_subgroups(G: GroupTable, cap: int = SUBGROUP_ORDER_CAP) -> list[Subgroup
     return list(G._subgroup_list)
 
 
-def _double_coset_reps(G: GroupTable, left: np.ndarray, right: np.ndarray) -> list[int]:
-    """Minimal representatives of the (left, right)-double cosets {L g R}."""
-    n = G.order
-    seen = np.zeros(n, dtype=bool)
-    reps = []
-    for g in range(n):
-        if seen[g]:
-            continue
-        block = np.unique(G.mul[np.ix_(G.mul[left, g], right)])
-        seen[block] = True
-        reps.append(g)
-    return reps
+@dataclass(frozen=True)
+class Cosets:
+    """Partition of G into the cosets of one subgroup, by minimal representative."""
+
+    ids: np.ndarray        # element index -> coset index (read-only)
+    reps: tuple[int, ...]  # ascending; reps[i] is the least element of coset i
+
+
+def cosets(G: GroupTable, H: Subgroup, side: str) -> Cosets:
+    """The left cosets gH (side "left") or right cosets Hg (side "right"),
+    numbered by ascending minimal representative."""
+    if side == "left":
+        members = G.mul[:, H.elem_array]    # row g holds gH
+    elif side == "right":
+        members = G.mul[H.elem_array, :].T  # row g holds Hg
+    else:
+        raise ParameterError(f"side must be 'left' or 'right', got {side!r}")
+    least = members.min(axis=1)
+    reps = np.unique(least)
+    ids = np.searchsorted(reps, least)
+    ids.setflags(write=False)
+    return Cosets(ids, tuple(int(r) for r in reps))
+
+
+@dataclass(frozen=True)
+class DoubleCosets:
+    """Partition of G into (K,H)-double cosets, by minimal representative."""
+
+    reps: tuple[int, ...]
+    sizes: tuple[int, ...]
+    block_of: np.ndarray  # element index -> block index
+
+
+def double_cosets(G: GroupTable, H: Subgroup, K: Subgroup) -> DoubleCosets:
+    """The double cosets KgH, numbered by ascending minimal representative.
+
+    KgH is the union of the left cosets kgH, so its least element is the least
+    left-coset representative met by the elements kg.
+    """
+    left = cosets(G, H, "left")
+    least_in_left = np.asarray(left.reps)[left.ids]
+    least = least_in_left[G.mul[K.elem_array, :]].min(axis=0)
+    reps = np.unique(least)
+    block_of = np.searchsorted(reps, least)
+    block_of.setflags(write=False)
+    sizes = np.bincount(block_of)
+    return DoubleCosets(tuple(int(r) for r in reps), tuple(int(z) for z in sizes), block_of)
 
 
 @dataclass(frozen=True)
@@ -783,31 +793,25 @@ def is_normal_subgroup(G: GroupTable, H: Subgroup) -> bool:
     return all(mask[G.mul[G.mul[G.inv[g], arr], g]].all() for g in G.minimal_generators)
 
 
+def _conjugators(G: GroupTable, H: Subgroup, K: Subgroup) -> np.ndarray:
+    """The ascending g with H^g = K. Conjugation is injective, so H^g = K
+    exactly when |H| = |K| and H^g lies inside K."""
+    if H.order != K.order:
+        return np.zeros(0, dtype=np.int64)
+    g = np.arange(G.order)
+    conj = G.mul[G.mul[G.inv[:, None], H.elem_array[None, :]], g[:, None]]
+    return np.flatnonzero(K.mask[conj].all(axis=1))
+
+
 def are_conjugate(G: GroupTable, H: Subgroup, K: Subgroup) -> tuple[bool, int | None]:
     """Whether H^g = K for some g; returns the minimal witness when true."""
-    if H.order != K.order:
-        return False, None
-    target = K.elems
-    arr = H.elem_array
-    for g in range(G.order):
-        conj = np.sort(G.mul[G.mul[G.inv[g], arr], g])
-        if tuple(int(x) for x in conj) == target:
-            return True, g
-    return False, None
+    found = _conjugators(G, H, K)
+    return (True, int(found[0])) if found.size else (False, None)
 
 
 def conjugator_count(G: GroupTable, H: Subgroup, K: Subgroup) -> int:
     """|{g in G : H^g = K}|."""
-    if H.order != K.order:
-        return 0
-    target = K.elems
-    arr = H.elem_array
-    count = 0
-    for g in range(G.order):
-        conj = np.sort(G.mul[G.mul[G.inv[g], arr], g])
-        if tuple(int(x) for x in conj) == target:
-            count += 1
-    return count
+    return int(_conjugators(G, H, K).size)
 
 
 def subgroup_conjugacy_classes(G: GroupTable, subs: Sequence[Subgroup]) -> list[list[Subgroup]]:
@@ -846,21 +850,13 @@ def quotient_group(G: GroupTable, N: Subgroup) -> tuple[GroupTable, np.ndarray]:
     """
     if not is_normal_subgroup(G, N):
         raise NormalityError("quotient by a non-normal subgroup")
-    n = G.order
-    proj = np.full(n, -1, dtype=np.int64)
-    reps = []
-    for g in range(n):
-        if proj[g] >= 0:
-            continue
-        coset = G.mul[g, N.elem_array]
-        proj[coset] = len(reps)
-        reps.append(g)
-    rep_arr = np.array(reps, dtype=np.int64)
+    left = cosets(G, N, "left")
+    proj = left.ids
+    rep_arr = np.array(left.reps, dtype=np.int64)
     mul = proj[G.mul[np.ix_(rep_arr, rep_arr)]]
     Q = GroupTable(mul, provenance=f"quotient({G.provenance}/N{N.order})")
     if not np.array_equal(proj[G.mul], Q.mul[proj[:, None], proj[None, :]]):
         raise VerificationError("projection is not a homomorphism")
-    proj.setflags(write=False)
     return Q, proj
 
 
@@ -1044,7 +1040,7 @@ def classify_structure(G: GroupTable, cap: int = SUBGROUP_ORDER_CAP) -> Structur
 def _is_nilpotent(G: GroupTable, subs: Sequence[Subgroup]) -> bool:
     # nilpotent iff every Sylow subgroup is normal iff each is unique
     n = G.order
-    for p in _prime_factors(n):
+    for p in prime_factors(n):
         part = 1
         m = n
         while m % p == 0:
@@ -1055,20 +1051,6 @@ def _is_nilpotent(G: GroupTable, subs: Sequence[Subgroup]) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _supersoluble_by_chief_series(G: GroupTable, subs: Sequence[Subgroup],
                                   normal_flags: dict) -> bool:
     normals = sorted((s for s in subs if normal_flags[s.elems]),
@@ -1077,7 +1059,7 @@ def _supersoluble_by_chief_series(G: GroupTable, subs: Sequence[Subgroup],
     while cur.order < G.order:
         over = [s for s in normals if s.order > cur.order and s.contains_subgroup(cur)]
         step = min(over, key=lambda s: s.order)
-        if not _is_prime(step.order // cur.order):
+        if not is_prime(step.order // cur.order):
             return False
         cur = step
     return True
@@ -1089,7 +1071,7 @@ def _supersoluble_by_maximal_indices(G: GroupTable, subs: Sequence[Subgroup]) ->
         is_maximal = not any(
             K.order > H.order and K.order < G.order and K.contains_subgroup(H)
             for K in proper)
-        if is_maximal and not _is_prime(G.order // H.order):
+        if is_maximal and not is_prime(G.order // H.order):
             return False
     return True
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith_nt import factorial_ratio, is_prime
+from .arith_nt import factorial_ratio, next_prime, prime_factors
 from .coset_graph import build_coset_graph, s_bounds_check
 from .errors import VerificationError
 from .group_core import (
@@ -136,10 +136,6 @@ def _compute_tp(G: GroupTable, cap: int) -> TpResult:
                     subgroup_count=len(subs), table=tuple(records))
 
 
-def is_dedekind_by_tp(G: GroupTable) -> bool:
-    return tp(G).tp == 1
-
-
 # ---------------------------------------------------------------------------
 # Monotonicity laws
 # ---------------------------------------------------------------------------
@@ -200,7 +196,7 @@ def verify_monotonicity(G: GroupTable, group_id: str = "") -> list[TheoremVerdic
         "monotone-sections", group_id, hypothesis_holds=True,
         conclusion_holds=ok_sec, details={"tp": str(tp_g), "sections": sections}))
 
-    primes = _prime_support(G.order)
+    primes = prime_factors(G.order)
     is_p_group = len(primes) == 1 and G.order > 1
     dedekind = tp_g == 1
     hyp = is_p_group and not dedekind
@@ -212,20 +208,6 @@ def verify_monotonicity(G: GroupTable, group_id: str = "") -> list[TheoremVerdic
         conclusion_holds=concl,
         details={"tp": str(tp_g), "p": primes[0] if is_p_group else None}))
     return verdicts
-
-
-def _prime_support(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +385,7 @@ def _excluded_prime_pair_values(tp_value: Fraction) -> list[tuple[tuple[int, int
     out = []
     p = 2
     while True:
-        q = _next_prime_after(p)
+        q = next_prime(p)
         if factorial_ratio(p) * factorial_ratio(q) < tp_value:
             break
         while True:
@@ -411,16 +393,9 @@ def _excluded_prime_pair_values(tp_value: Fraction) -> list[tuple[tuple[int, int
             if v < tp_value:
                 break
             out.append(((p, q), v))
-            q = _next_prime_after(q)
-        p = _next_prime_after(p)
+            q = next_prime(q)
+        p = next_prime(p)
     return out
-
-
-def _next_prime_after(n: int) -> int:
-    k = n + 1
-    while not is_prime(k):
-        k += 1
-    return k
 
 
 def _as_single_prime_ratio(value: Fraction) -> int | None:
@@ -428,7 +403,7 @@ def _as_single_prime_ratio(value: Fraction) -> int | None:
     while factorial_ratio(p) >= value:
         if factorial_ratio(p) == value:
             return p
-        p = _next_prime_after(p)
+        p = next_prime(p)
     return None
 
 
@@ -533,7 +508,7 @@ def explore_cyclic_witness(G: GroupTable, group_id: str = "") -> TheoremVerdict:
         sub = Subgroup(G, _subgroup_from_gens(G, rec.generators))
         if not _is_cyclic_subgroup(G, sub):
             continue
-        primes = _prime_support(sub.order) or [1]
+        primes = prime_factors(sub.order) or [1]
         if len(primes) != 1:
             continue
         core = subgroup_relations(G, sub).core

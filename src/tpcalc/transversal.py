@@ -9,7 +9,6 @@ pure and safe for concurrent use; the factorial-ratio cache is shared.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -19,16 +18,11 @@ import numpy as np
 from .arith_nt import (
     amgm_upper_bound,
     factorial_ratio,
+    is_prime,
     jensen_power_bound,
     prop_gamma_vs_amgm_holds,
 )
-from .coset_graph import (
-    CosetGraph,
-    TVector,
-    build_coset_graph,
-    left_coset_reps,
-    right_coset_reps,
-)
+from .coset_graph import CosetGraph, TVector, build_coset_graph
 from .errors import (
     BudgetError,
     ParameterError,
@@ -36,9 +30,7 @@ from .errors import (
     SizeLimitError,
     VerificationError,
 )
-from .group_core import GroupTable, Subgroup, is_normal_subgroup, subgroup_relations
-
-BigRational = Fraction
+from .group_core import GroupTable, Subgroup, cosets, is_normal_subgroup, subgroup_relations
 
 PERMANENT_SIZE_CAP = 24
 ENUMERATION_BUDGET = 10**6
@@ -74,31 +66,18 @@ def p_g(G: GroupTable, H: Subgroup, K: Subgroup | None = None,
 
 
 def p_prime_subgroup(G: GroupTable, H: Subgroup) -> Fraction:
-    """Closed form (p!/p^p)^((n-m)/p) for |H| = p prime, checked against the
-    graph computation."""
+    """Closed form (p!/p^p)^((n-m)/p) for |H| = p prime, where m = |N(H) : H|.
+    It is computed from the normalizer alone, so it is an independent route to
+    P(G; H, H)."""
     p = H.order
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ParameterError("subgroup order must be prime")
     rel = subgroup_relations(G, H)
     n = H.index
     m = rel.normalizer.order // H.order
     if (n - m) % p != 0:
         raise VerificationError("(n - m)/p must be an integer")
-    value = factorial_ratio(p) ** ((n - m) // p)
-    if value != p_g(G, H, H):
-        raise VerificationError("closed form disagrees with the graph computation")
-    return value
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return factorial_ratio(p) ** ((n - m) // p)
 
 
 # ---------------------------------------------------------------------------
@@ -132,29 +111,21 @@ def weight_matrix(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> Weig
         K = H
     if H.index != K.index:
         raise PreconditionError("subgroups must have equal index")
-    lreps = left_coset_reps(G, H)
+    left = cosets(G, H, "left")
+    right = cosets(G, K, "right")
+    n = H.index
+    W = np.bincount(left.ids * n + right.ids, minlength=n * n).reshape(n, n)
+    rreps = right.reps
     if matched:
-        rreps = tuple(int(G.inv[l]) for l in lreps)
-    else:
-        rreps = right_coset_reps(G, K)
-    n = len(lreps)
-    L = np.zeros((n, G.order), dtype=np.int64)
-    R = np.zeros((n, G.order), dtype=np.int64)
-    for i, r in enumerate(lreps):
-        L[i, G.mul[r, H.elem_array]] = 1
-    seen_rows = set()
-    for j, r in enumerate(rreps):
-        coset = G.mul[K.elem_array, r]
-        key = tuple(sorted(int(x) for x in coset))
-        if key in seen_rows:
+        rreps = tuple(int(G.inv[l]) for l in left.reps)
+        columns = right.ids[list(rreps)]
+        if np.unique(columns).size != n:
             raise VerificationError("right labels do not form a right transversal")
-        seen_rows.add(key)
-        R[j, coset] = 1
-    W = L @ R.T
+        W = W[:, columns]
     if not ((W.sum(axis=1) == H.order).all() and (W.sum(axis=0) == H.order).all()):
         raise VerificationError("weight matrix rows/columns do not sum to |H|")
     W.setflags(write=False)
-    return WeightMatrix(n=n, entries=W, left_reps=lreps, right_reps=tuple(rreps),
+    return WeightMatrix(n=n, entries=W, left_reps=left.reps, right_reps=rreps,
                         matched=matched)
 
 
@@ -242,8 +213,9 @@ def _ryser_bigint(A: np.ndarray) -> int:
 def dt_enumerate(G: GroupTable, H: Subgroup, K: Subgroup | None = None,
                  budget: int = ENUMERATION_BUDGET) -> int:
     """Count two-sided transversals by depth-first choice of one element per
-    left coset, pruning on the set of right cosets already hit. The count is
-    cross-checked against |H|^n * P before being returned."""
+    left coset, pruning on the set of right cosets already hit. The count uses
+    neither the coset graph nor the weight matrix, so it is an independent
+    route to |H|^n * P."""
     if K is None:
         K = H
     if H.index != K.index:
@@ -251,38 +223,29 @@ def dt_enumerate(G: GroupTable, H: Subgroup, K: Subgroup | None = None,
     n = H.index
     if H.order**n > budget:
         raise BudgetError(f"|H|^n = {H.order**n} exceeds budget {budget}")
-    lreps = left_coset_reps(G, H)
-    right_id = np.full(G.order, -1, dtype=np.int64)
-    nxt = 0
-    for g in range(G.order):
-        if right_id[g] < 0:
-            right_id[G.mul[K.elem_array, g]] = nxt
-            nxt += 1
-    cosets = [[int(right_id[x]) for x in G.mul[l, H.elem_array]] for l in lreps]
+    right_id = cosets(G, K, "right").ids
+    # the right cosets met by each left coset's elements, one list per level
+    options = [right_id[G.mul[l, H.elem_array]].tolist()
+               for l in cosets(G, H, "left").reps]
 
     count = 0
     used = [False] * n
-
-    def walk(level: int) -> None:
-        nonlocal count
-        if level == n:
+    chosen: list[int] = []              # the right coset picked at each open level
+    stack = [iter(options[0])]          # the untried choices at each open level
+    while stack:
+        rid = next(stack[-1], None)
+        if rid is None:                 # level exhausted: undo the choice below it
+            stack.pop()
+            if chosen:
+                used[chosen.pop()] = False
+        elif used[rid]:
+            continue
+        elif len(stack) == n:           # a choice at the last level completes one
             count += 1
-            return
-        for rid in cosets[level]:
-            if not used[rid]:
-                used[rid] = True
-                walk(level + 1)
-                used[rid] = False
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, n + 100))
-    try:
-        walk(0)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    expected = Fraction(H.order) ** n * p_g(G, H, K)
-    if count != expected:
-        raise VerificationError("enumeration disagrees with the exact formula")
+        else:
+            used[rid] = True
+            chosen.append(rid)
+            stack.append(iter(options[len(stack)]))
     return count
 
 
@@ -325,16 +288,15 @@ def stochastic_form_checks(G: GroupTable, H: Subgroup,
     M = [[Fraction(int(wm.entries[i, j]), h) for j in range(n)] for i in range(n)]
 
     left_pos = {rep: i for i, rep in enumerate(wm.left_reps)}
-    # column index of the right coset containing a given element
-    col_of_elem = {}
-    for j, r in enumerate(wm.right_reps):
-        for x in G.mul[K.elem_array, r]:
-            col_of_elem[int(x)] = j
+    # column of the weight matrix labelled by each right coset
+    right_id = cosets(G, K, "right").ids
+    col_of_coset = np.empty(n, dtype=np.int64)
+    col_of_coset[right_id[list(wm.right_reps)]] = np.arange(n)
     row_order, col_order, block_sizes = [], [], []
     for comp in graph.components:
         block_sizes.append(comp.t)
         row_order += [left_pos[rep] for rep in comp.left_vertices]
-        col_order += [col_of_elem[rep] for rep in comp.right_vertices]
+        col_order += [int(col_of_coset[right_id[rep]]) for rep in comp.right_vertices]
     D = [[M[i][j] for j in col_order] for i in row_order]
 
     spans = []

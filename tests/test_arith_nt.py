@@ -82,6 +82,14 @@ class TestPrimes:
         with pytest.raises(ParameterError):
             nt.next_prime(0)
 
+    def test_prime_factors(self):
+        assert nt.prime_factors(1) == []
+        assert nt.prime_factors(97) == [97]
+        assert nt.prime_factors(360) == [2, 3, 5]
+        for n in range(2, 200):
+            want = [p for p in range(2, n + 1) if n % p == 0 and nt.is_prime(p)]
+            assert nt.prime_factors(n) == want
+
 
 class TestCollisionScan:
     def test_prime_uniqueness_small(self):

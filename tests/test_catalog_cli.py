@@ -233,6 +233,25 @@ class TestCache:
         assert v1 == v2
         assert v2["hypothesis_holds"]  # the order-2 subgroup hit is still found
 
+    def test_rewritten_table_file_misses(self, tmp_path):
+        # same builder text, different table: the cached D3 value must not be
+        # served for C6
+        path = tmp_path / "cat.tsv"
+        path.write_text("g\ttable g.txt\n")
+        table = tmp_path / "g.txt"
+        cache_path = tmp_path / "c.jsonl"
+        rows = []
+        for G in (gc.dihedral(3), gc.cyclic(6)):
+            table.write_text(gc.write_cayley_table(G))
+            report, ok = cat.scan_and_report(cat.catalog_build(path),
+                                             checks=["expected-values"],
+                                             cache=cat.ResultsCache.load(cache_path))
+            assert ok
+            rows.append(report["entries"][0])
+        assert rows[0]["tp"] == {"num": "1", "den": "2"}
+        assert rows[1]["cache_hit"] is False
+        assert rows[1]["tp"] == {"num": "1", "den": "1"}
+
     def test_poisoned_cache_detected(self, tmp_path):
         entries = [cat.CatalogEntry(id="s3", builder="dihedral 3",
                                     expected={"order": 6})]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from tpcalc import coset_graph as cg
@@ -100,6 +101,22 @@ class TestDoubleCosets:
             conj = K.conjugate_by(rep)
             meet = len(set(conj.elems) & set(H.elems))
             assert size == K.order * H.order // meet
+
+
+    def test_blocks_against_element_set_oracle(self, zoo):
+        for name in ("s3", "a4", "d6", "f20"):
+            G = zoo[name]
+            subs = gc.all_subgroups(G)
+            for H in subs:
+                for K in subs:
+                    dcs = cg.double_cosets(G, H, K)
+                    blocks = sorted({frozenset(int(x) for x in np.unique(
+                        G.mul[np.ix_(G.mul[K.elem_array, g], H.elem_array)]))
+                        for g in range(G.order)}, key=min)
+                    assert dcs.reps == tuple(min(b) for b in blocks), name
+                    assert dcs.sizes == tuple(len(b) for b in blocks), name
+                    for i, block in enumerate(blocks):
+                        assert all(dcs.block_of[x] == i for x in block), name
 
 
 class TestSBounds:

@@ -246,6 +246,32 @@ class TestSubgroupBasics:
             gc.Subgroup(zoo["s3"], (0, 1))  # not closed unless 1 is an involution
 
 
+def naive_cosets(G, H, side):
+    """Oracle: the cosets as raw element sets, ordered by least element."""
+    blocks = {frozenset(int(x) for x in
+                        (G.mul[g, H.elem_array] if side == "left" else G.mul[H.elem_array, g]))
+              for g in range(G.order)}
+    return sorted(blocks, key=min)
+
+
+class TestCosets:
+    def test_against_element_set_oracle(self, zoo):
+        for name in ("s3", "a4", "s4", "q16", "c3_c4", "f20"):
+            G = zoo[name]
+            for H in gc.all_subgroups(G):
+                for side in ("left", "right"):
+                    got = gc.cosets(G, H, side)
+                    want = naive_cosets(G, H, side)
+                    assert got.reps == tuple(min(b) for b in want), (name, side)
+                    for i, block in enumerate(want):
+                        assert all(got.ids[x] == i for x in block), (name, side)
+                    assert not got.ids.flags.writeable
+
+    def test_bad_side_rejected(self, zoo):
+        with pytest.raises(ParameterError):
+            gc.cosets(zoo["s3"], gc.trivial_subgroup(zoo["s3"]), "middle")
+
+
 class TestRelations:
     def test_s3_reflection(self, zoo):
         s3 = zoo["s3"]
@@ -285,6 +311,18 @@ class TestRelations:
         assert same and g0 == 0
         rot = gc.subgroup_generated(s3, [next(x for x in range(6) if s3.element_orders[x] == 3)])
         assert gc.are_conjugate(s3, H, rot) == (False, None)
+
+    def test_conjugators_against_loop_oracle(self, zoo):
+        for name in ("s3", "a4", "d6"):
+            G = zoo[name]
+            subs = gc.all_subgroups(G)
+            for H in subs:
+                for K in subs:
+                    witnesses = [g for g in range(G.order) if H.order == K.order
+                                 and H.conjugate_by(g).elems == K.elems]
+                    assert gc.conjugator_count(G, H, K) == len(witnesses), name
+                    want = (True, witnesses[0]) if witnesses else (False, None)
+                    assert gc.are_conjugate(G, H, K) == want, name
 
 
 class TestQuotients:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from tpcalc import coset_graph as cg
 from tpcalc import group_core as gc
 from tpcalc import transversal as tv
+from tpcalc.arith_nt import is_prime
 from tpcalc.errors import (
     BudgetError,
     ParameterError,
@@ -123,6 +125,17 @@ class TestPPrime:
         with pytest.raises(ParameterError):
             tv.p_prime_subgroup(zoo["d4"], subgroup_of_order(zoo["d4"], 4))
 
+    def test_closed_form_matches_graph_on_catalog(self, catalog_groups):
+        checked = 0
+        for name, G in sorted(catalog_groups.items()):
+            if G.order > 24:
+                continue
+            for H in gc.all_subgroups(G):
+                if is_prime(H.order):
+                    assert tv.p_prime_subgroup(G, H) == tv.p_g(G, H), (name, H.elems)
+                    checked += 1
+        assert checked > 100
+
 
 class TestWeightMatrix:
     def test_whole_group(self, zoo):
@@ -199,16 +212,19 @@ class TestEnumeration:
         H = subgroup_of_order(s3, 2)
         assert tv.dt_enumerate(s3, H) == 4
         assert dt_count_oracle(s3, H, H) == 4
+        assert 4 == H.order ** H.index * tv.p_g(s3, H)
 
     def test_a4_c3(self, zoo):
         H = subgroup_of_order(zoo["a4"], 3)
         assert tv.dt_enumerate(zoo["a4"], H) == 18
         assert dt_count_oracle(zoo["a4"], H, H) == 18
+        assert 18 == H.order ** H.index * tv.p_g(zoo["a4"], H)
 
     def test_normal_gives_full_count(self, zoo):
         G = zoo["d4"]
         H = subgroup_of_order(G, 4)
         assert tv.dt_enumerate(G, H) == H.order ** H.index
+        assert tv.p_g(G, H) == 1
 
     def test_budget(self, zoo):
         with pytest.raises(BudgetError):
@@ -226,7 +242,42 @@ class TestEnumeration:
                     for K in bucket:
                         if H.order ** H.index > 3000:
                             continue
-                        assert tv.dt_enumerate(G, H, K) == dt_count_oracle(G, H, K)
+                        count = tv.dt_enumerate(G, H, K)
+                        assert count == dt_count_oracle(G, H, K)
+                        assert count == H.order ** H.index * tv.p_g(G, H, K)
+
+    def test_deep_index_leaves_recursion_limit_alone(self, monkeypatch):
+        G = gc.cyclic(1100)  # more levels than the default recursion limit
+        limit = sys.getrecursionlimit()
+
+        def refuse(_):
+            raise AssertionError("the recursion limit was changed")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        assert tv.dt_enumerate(G, gc.trivial_subgroup(G)) == 1
+        assert sys.getrecursionlimit() == limit
+
+
+class TestIndependentRoutes:
+    def test_routes_do_not_call_the_graph(self, zoo, monkeypatch):
+        cases = []
+        for name in ("s3", "a4", "d5", "q8", "f20"):
+            G = zoo[name]
+            for cls in gc.subgroup_conjugacy_classes(G, gc.all_subgroups(G)):
+                cases.append((G, cls[0], tv.p_g(G, cls[0])))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a route called the coset graph")
+
+        monkeypatch.setattr(tv, "p_g", refuse)
+        monkeypatch.setattr(tv, "build_coset_graph", refuse)
+        monkeypatch.setattr(cg, "build_coset_graph", refuse)
+        for G, H, want in cases:
+            scale = H.order ** H.index
+            assert tv.dt_enumerate(G, H) == want * scale
+            assert tv.permanent_ryser(tv.weight_matrix(G, H).entries) == want * scale
+            if is_prime(H.order):
+                assert tv.p_prime_subgroup(G, H) == want
 
 
 class TestTripleAgreement:
