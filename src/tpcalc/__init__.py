@@ -38,7 +38,6 @@ from .group_core import (
     generalized_quaternion,
     has_section,
     is_isomorphic,
-    make_named_family,
     quotient_group,
     semidirect_product,
     subgroup_generated,
@@ -77,7 +76,6 @@ from .tp_engine import (
     TheoremVerdict,
     TpResult,
     classify_special_values,
-    extension_bounds,
     tp,
     verify_monotonicity,
     verify_structure_theorems,

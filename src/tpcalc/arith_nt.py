@@ -32,18 +32,6 @@ def factorial_ratio(t: int) -> Fraction:
     return Fraction(math.factorial(t), t**t)
 
 
-@dataclass(frozen=True)
-class FactorialRatio:
-    """A factorial ratio t!/t^t together with its argument."""
-
-    t: int
-    value: Fraction
-
-    @classmethod
-    def of(cls, t: int) -> "FactorialRatio":
-        return cls(t, factorial_ratio(t))
-
-
 def product_of_ratios(entries: Sequence[int]) -> Fraction:
     """Exact product of t!/t^t over the given positive integers."""
     out = Fraction(1)

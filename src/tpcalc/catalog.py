@@ -329,16 +329,12 @@ def _table_digest(entry: CatalogEntry) -> str | None:
 # Checks registry
 # ---------------------------------------------------------------------------
 
-def _structure_check(which: str):
-    def run(entry: CatalogEntry, G: GroupTable) -> list[TheoremVerdict]:
-        return [v for v in verify_structure_theorems(G, entry.id) if v.theorem == which]
-    return run
+def _structure_checks(entry: CatalogEntry, G: GroupTable) -> list[TheoremVerdict]:
+    return verify_structure_theorems(G, entry.id)
 
 
-def _classification_check(which: str):
-    def run(entry: CatalogEntry, G: GroupTable) -> list[TheoremVerdict]:
-        return [v for v in classify_special_values(G, entry.id) if v.theorem == which]
-    return run
+def _classification_checks(entry: CatalogEntry, G: GroupTable) -> list[TheoremVerdict]:
+    return classify_special_values(G, entry.id)
 
 
 def _expected_values_check(entry: CatalogEntry, G: GroupTable) -> list[TheoremVerdict]:
@@ -406,16 +402,16 @@ def _extension_check(entry: CatalogEntry, G: GroupTable) -> list[TheoremVerdict]
 CHECKS: dict[str, Callable[[CatalogEntry, GroupTable], list[TheoremVerdict]]] = {
     "expected-values": _expected_values_check,
     "monotonicity": _monotonicity_check,
-    "solubility-criterion": _structure_check("solubility-criterion"),
-    "supersolubility": _structure_check("supersolubility"),
-    "nilpotency": _structure_check("nilpotency"),
-    "derived-length": _structure_check("derived-length"),
-    "non-abelian-odd": _structure_check("non-abelian-odd"),
-    "tp-half-classification": _classification_check("tp-half-classification"),
-    "tp-quarter-classification": _classification_check("tp-quarter-classification"),
-    "pq-exclusion": _classification_check("pq-exclusion"),
-    "prime-ratio-placement": _classification_check("prime-ratio-placement"),
-    "prime-pair-tvector": _classification_check("prime-pair-tvector"),
+    "solubility-criterion": _structure_checks,
+    "supersolubility": _structure_checks,
+    "nilpotency": _structure_checks,
+    "derived-length": _structure_checks,
+    "non-abelian-odd": _structure_checks,
+    "tp-half-classification": _classification_checks,
+    "tp-quarter-classification": _classification_checks,
+    "pq-exclusion": _classification_checks,
+    "prime-ratio-placement": _classification_checks,
+    "prime-pair-tvector": _classification_checks,
     "graph-invariants": _graph_check,
     "bounds-suite": _bounds_check,
     "extension-bound": _extension_check,
@@ -556,9 +552,18 @@ def scan_entry(entry: CatalogEntry, checks: Sequence[str], cap_order: int,
         row["witnesses"] = [list(w) for w in result.witnesses]
         row["subgroup_count"] = result.subgroup_count
         row["cache_hit"] = cached is not None
+        # A family check (structure, classification) decides all of its
+        # theorems in one run; a later check of the same family reuses them.
+        decided: dict[str, TheoremVerdict] = {}
         verdicts: list[TheoremVerdict] = []
         for name in checks:
-            verdicts += CHECKS[name](entry, G)
+            if name not in decided:
+                returned = CHECKS[name](entry, G)
+                decided.update((v.theorem, v) for v in returned)
+                if name not in decided:  # monotonicity: verdicts of other names
+                    verdicts += returned
+                    continue
+            verdicts.append(decided[name])
         row["verdicts"] = [_verdict_json(v) for v in verdicts]
         row["consistent"] = all(v.consistent for v in verdicts)
         if cache is not None and cached is None:

@@ -5,16 +5,19 @@ Conventions, fixed once for the whole package:
   * coset and double-coset representatives are minimal-index elements;
   * the canonical key of a subgroup is its sorted element tuple.
 
-GroupTable and Subgroup are immutable after construction; derived data
+The tables of GroupTable and Subgroup are read-only arrays. Derived data
 (fingerprints, subgroup lists) is cached on first use and only ever replaced
-by an identical value, so concurrent readers are safe.
+by an identical value. The tp memo `_tp_cache` is the exception: `tp()` writes
+it and `catalog.scan_entry` plants it from the results cache. It is replaced
+only by a recomputed result with the same tp (which may add the per-class
+table); `tp()` raises VerificationError otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -400,22 +403,6 @@ def field_frobenius(q: int) -> GroupTable:
               for k in range(q - 1)]
     G = semidirect_product(additive, multiplicative, action)
     return GroupTable(G.mul, provenance=f"field_frobenius({q})")
-
-
-_FAMILIES: dict[str, Callable[..., GroupTable]] = {
-    "cyclic": cyclic,
-    "dihedral": dihedral,
-    "generalized_quaternion": generalized_quaternion,
-    "cp_rtimes_c2n": cp_rtimes_c2n,
-    "field_frobenius": field_frobenius,
-    "elementary_abelian": elementary_abelian,
-}
-
-
-def make_named_family(family: str, *params: int) -> GroupTable:
-    if family not in _FAMILIES:
-        raise ParameterError(f"unknown family {family!r}")
-    return _FAMILIES[family](*params)
 
 
 class _GaloisField:

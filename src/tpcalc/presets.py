@@ -158,11 +158,6 @@ def c2cube_rtimes_c7() -> GroupTable:
     return _checked(GroupTable(field_frobenius(8).mul, provenance="c2cube_rtimes_c7"), 56)
 
 
-@lru_cache(maxsize=None)
-def s3_times_c5() -> GroupTable:
-    return _checked(direct_product(dihedral(3), cyclic(5)), 30)
-
-
 def quarter_classification_references() -> dict[str, GroupTable]:
     """Reference groups for the quotient shape in the tp = 1/4 classification."""
     return {

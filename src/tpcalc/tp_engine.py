@@ -18,7 +18,7 @@ import numpy as np
 
 from .arith_nt import factorial_ratio, next_prime, prime_factors
 from .coset_graph import build_coset_graph, s_bounds_check
-from .errors import VerificationError
+from .errors import SizeLimitError, VerificationError
 from .group_core import (
     SUBGROUP_ORDER_CAP,
     GroupTable,
@@ -88,6 +88,8 @@ def tp(G: GroupTable, group_id: str = "", keep_table: bool = False,
        cap: int = SUBGROUP_ORDER_CAP) -> TpResult:
     """Exact minimum of P over all subgroups, with the attaining conjugacy
     class representatives listed by canonical generators."""
+    if G.order > cap:  # before the memo, so a cached value obeys the cap too
+        raise SizeLimitError(f"group order {G.order} exceeds subgroup cap {cap}")
     if G._tp_cache is None or (keep_table and G._tp_cache.table is None):
         fresh = _compute_tp(G, cap)
         if G._tp_cache is not None and G._tp_cache.tp != fresh.tp:
@@ -450,14 +452,6 @@ def direct_extension_check(factors: Sequence[GroupTable],
     return TheoremVerdict(
         "direct-extension-bound", group_id, True, tp_hat <= bound,
         details={"tp": str(tp_hat), "bound": str(bound), "equality": tp_hat == bound})
-
-
-def extension_bounds(mode: str, *args, group_id: str = "") -> TheoremVerdict:
-    if mode == "semidirect":
-        return semidirect_extension_check(*args, group_id=group_id)
-    if mode == "direct":
-        return direct_extension_check(*args, group_id=group_id)
-    raise ValueError(f"unknown extension mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------

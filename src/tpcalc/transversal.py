@@ -20,6 +20,7 @@ from .arith_nt import (
     factorial_ratio,
     is_prime,
     jensen_power_bound,
+    product_of_ratios,
     prop_gamma_vs_amgm_holds,
 )
 from .coset_graph import CosetGraph, TVector, build_coset_graph
@@ -45,10 +46,7 @@ def p_from_tvector(t: TVector | Sequence[int]) -> Fraction:
         raise PreconditionError("component-size vector must be nonempty")
     if any(x < 1 for x in entries):
         raise PreconditionError("component sizes must be positive")
-    out = Fraction(1)
-    for x in entries:
-        out *= factorial_ratio(x)
-    return out
+    return product_of_ratios(entries)
 
 
 def p_g(G: GroupTable, H: Subgroup, K: Subgroup | None = None,
@@ -99,10 +97,6 @@ class WeightMatrix:
     left_reps: tuple[int, ...]
     right_reps: tuple[int, ...]
     matched: bool
-
-    @property
-    def line_sum(self) -> int:
-        return int(self.entries[0].sum())
 
 
 def weight_matrix(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> WeightMatrix:

@@ -36,10 +36,6 @@ class TestFactorialRatio:
         assert all(v <= 1 for v in values)
         assert values[0] == 1 and all(v < 1 for v in values[1:])
 
-    def test_dataclass_wrapper(self):
-        fr = nt.FactorialRatio.of(3)
-        assert (fr.t, fr.value) == (3, Fraction(2, 9))
-
 
 class TestPadicValuation:
     def test_simple_values(self):

@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -168,6 +169,37 @@ class TestScan:
         assert len(report["entries"]) == len(catalog_entries)
         assert all("error" not in row and "skipped" not in row
                    for row in report["entries"])
+
+    def test_each_check_family_runs_once_per_group(self, small_catalog, monkeypatch):
+        calls = {"structure": Counter(), "classification": Counter()}
+
+        def counting(family, fn):
+            def run(G, group_id=""):
+                calls[family][group_id] += 1
+                return fn(G, group_id)
+            return run
+
+        monkeypatch.setattr(cat, "verify_structure_theorems",
+                            counting("structure", te.verify_structure_theorems))
+        monkeypatch.setattr(cat, "classify_special_values",
+                            counting("classification", te.classify_special_values))
+        _, ok = cat.scan_and_report(small_catalog)
+        assert ok
+        once = Counter(e.id for e in small_catalog)
+        assert calls == {"structure": once, "classification": once}
+
+    def test_mixed_subset_keeps_requested_order(self, small_catalog):
+        subset = ["nilpotency", "monotonicity", "solubility-criterion", "pq-exclusion"]
+        full, _ = cat.scan_and_report(small_catalog)
+        part, ok = cat.scan_and_report(small_catalog, checks=subset)
+        assert ok
+        for whole, row in zip(full["entries"], part["entries"]):
+            theorems = [v["theorem"] for v in row["verdicts"]]
+            assert theorems == ["nilpotency", "monotone-subgroups", "monotone-quotients",
+                                "monotone-sections", "non-dedekind-p-group",
+                                "solubility-criterion", "pq-exclusion"]
+            by_theorem = {v["theorem"]: v for v in whole["verdicts"]}
+            assert row["verdicts"] == [by_theorem[t] for t in theorems]
 
     def test_csv_format(self, small_catalog, tmp_path):
         report, _ = cat.scan_and_report(small_catalog, out=tmp_path / "r.csv", fmt="csv")

@@ -113,11 +113,6 @@ class TestNamedFamilies:
             gc.field_frobenius(6)  # not a prime power
         with pytest.raises(ParameterError):
             gc.generalized_quaternion(4)  # m < 3
-        with pytest.raises(ParameterError):
-            gc.make_named_family("nope", 3)
-
-    def test_dispatcher(self):
-        assert gc.make_named_family("dihedral", 4).order == 8
 
 
 class TestPermutationClosure:

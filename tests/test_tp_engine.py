@@ -5,6 +5,7 @@ import pytest
 from tpcalc import group_core as gc
 from tpcalc import presets
 from tpcalc import tp_engine as te
+from tpcalc.errors import SizeLimitError
 
 
 def subgroup_of_order(G, k):
@@ -40,6 +41,14 @@ class TestTp:
         assert min(rec.p for rec in result.table) == result.tp
         normals = [rec for rec in result.table if rec.is_normal]
         assert all(rec.p == 1 for rec in normals)
+
+    def test_cap_holds_on_a_memo_hit(self):
+        with pytest.raises(SizeLimitError):
+            te.tp(gc.dihedral(5), cap=4)
+        G = gc.dihedral(5)
+        assert te.tp(G).tp == Fraction(1, 4)  # memoised on G
+        with pytest.raises(SizeLimitError):
+            te.tp(G, cap=4)
 
     def test_isomorphism_invariance(self, zoo):
         pairs = [
@@ -256,12 +265,6 @@ class TestExtensions:
         verdict = te.semidirect_extension_check(base, top, action, "c3_c4")
         assert verdict.conclusion_holds
         assert Fraction(verdict.details["tp"]) == Fraction(1, 2)
-
-    def test_dispatcher(self):
-        verdict = te.extension_bounds("direct", [gc.cyclic(2), gc.cyclic(3)])
-        assert verdict.conclusion_holds
-        with pytest.raises(ValueError):
-            te.extension_bounds("nope")
 
 
 class TestExploratory:
