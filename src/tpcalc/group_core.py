@@ -31,8 +31,6 @@ from .errors import (
     VerificationError,
 )
 
-ASSOC_EXHAUSTIVE_CAP = 512
-ASSOC_RANDOM_TRIPLES = 10_000
 SUBGROUP_ORDER_CAP = 256
 ISO_ORDER_CAP = 512
 CLOSURE_ELEMENT_CAP = 20_000
@@ -58,7 +56,8 @@ class GroupTable:
         if not (np.array_equal(mul[idx, inv], np.zeros(n, dtype=np.int32))
                 and np.array_equal(mul[inv, idx], np.zeros(n, dtype=np.int32))):
             raise ParameterError("table has no two-sided inverses")
-        _check_associativity(mul)
+        gens, chain_sizes = _greedy_chain(mul, range(n))
+        _check_associativity(mul, gens)
         if labels is not None and len(labels) != n:
             raise ParameterError("labels length must equal the group order")
         mul.setflags(write=False)
@@ -66,6 +65,10 @@ class GroupTable:
         self.mul = mul
         self.inv = inv
         self.order = n
+        # greedy generating sequence (repeatedly adjoin the smallest index not
+        # yet reached) and the order of the subgroup after each step
+        self.minimal_generators: tuple[int, ...] = gens
+        self.generator_chain_sizes: tuple[int, ...] = chain_sizes
         self.identity = 0
         self.labels = tuple(labels) if labels is not None else None
         self.provenance = provenance
@@ -133,28 +136,6 @@ class GroupTable:
         return tuple(int(i) for i in np.flatnonzero(mask))
 
     @cached_property
-    def minimal_generators(self) -> tuple[int, ...]:
-        """Greedy generating sequence: repeatedly adjoin the smallest outside index."""
-        gens: list[int] = []
-        current = np.array([0], dtype=np.int64)
-        while current.size < self.order:
-            mask = np.zeros(self.order, dtype=bool)
-            mask[current] = True
-            nxt = int(np.flatnonzero(~mask)[0])
-            gens.append(nxt)
-            current = closure_of(self, list(current) + [nxt])
-        return tuple(gens)
-
-    @cached_property
-    def generator_chain_sizes(self) -> tuple[int, ...]:
-        sizes = []
-        seed: list[int] = [0]
-        for g in self.minimal_generators:
-            seed.append(g)
-            sizes.append(int(closure_of(self, seed).size))
-        return tuple(sizes)
-
-    @cached_property
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         n = self.order
         cls_id = np.full(n, -1, dtype=np.int64)
@@ -208,18 +189,58 @@ class GroupTable:
         )
 
 
-def _check_associativity(mul: np.ndarray) -> None:
-    n = mul.shape[0]
-    if n <= ASSOC_EXHAUSTIVE_CAP:
-        for a in range(n):
-            if not np.array_equal(mul[mul[a], :], mul[a][mul]):
-                raise ParameterError(f"table is not associative (row {a})")
-    else:
-        rng = np.random.default_rng(n)
-        for _ in range(ASSOC_RANDOM_TRIPLES):
-            a, b, c = (int(v) for v in rng.integers(0, n, size=3))
-            if mul[mul[a, b], c] != mul[a, mul[b, c]]:
-                raise ParameterError("table is not associative (random triple)")
+def _check_associativity(mul: np.ndarray, gens: Sequence[int]) -> None:
+    """Light's test, exact in O(n^2 |gens|).
+
+    The s with (xs)y = x(sy) for all x, y form a submagma that contains the
+    identity: for such a and b, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) =
+    x((ab)y). `gens` reaches every element from the identity by right
+    multiplication, so the table is associative iff each s in `gens` passes.
+    """
+    for s in gens:
+        if not np.array_equal(mul[mul[:, s], :], mul[:, mul[s, :]]):
+            raise ParameterError(f"table is not associative (generator {s})")
+
+
+def _grow(mul: np.ndarray, reached: np.ndarray, frontier: np.ndarray,
+          gens: Sequence[int]) -> None:
+    """Breadth-first search along right multiplication by `gens`.
+
+    Marks in the boolean mask `reached` every x*w with x in `frontier` and w
+    a word in `gens`. Elements already marked must have their products by
+    `gens` marked or in `frontier`. From the identity this reaches the
+    subgroup that `gens` generate; from a subgroup R with frontier R*g it
+    reaches <R, g> when `gens` generate R together with g.
+    """
+    gens = np.asarray(gens, dtype=np.intp)
+    new = np.zeros(reached.size, dtype=bool)
+    new[frontier] = True
+    while True:
+        new &= ~reached
+        fresh = new.nonzero()[0]
+        if not fresh.size:
+            return
+        reached |= new
+        new.fill(False)
+        new[mul[fresh[:, None], gens]] = True
+
+
+def _greedy_chain(mul: np.ndarray, elems: Iterable[int]) -> tuple[tuple[int, ...],
+                                                                  tuple[int, ...]]:
+    """Greedy generating sequence of the subgroup with ascending elements
+    `elems`: repeatedly adjoin the least element not yet reached. Also returns
+    the order reached after each step."""
+    reached = np.zeros(mul.shape[0], dtype=bool)
+    reached[0] = True
+    gens: list[int] = []
+    sizes: list[int] = []
+    for x in elems:
+        if reached[x]:
+            continue
+        gens.append(x)
+        _grow(mul, reached, mul[np.flatnonzero(reached), x], gens)
+        sizes.append(int(np.count_nonzero(reached)))
+    return tuple(gens), tuple(sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +297,7 @@ class Subgroup:
 
     def generators(self) -> tuple[int, ...]:
         """Greedy minimal generating sequence by smallest element index."""
-        G = self.parent
-        gens: list[int] = []
-        current = np.array([0], dtype=np.int64)
-        want = set(self.elems)
-        while current.size < self.order:
-            nxt = min(want - set(current.tolist()))
-            gens.append(nxt)
-            current = closure_of(G, list(current) + [nxt])
-        return tuple(gens)
+        return _greedy_chain(self.parent.mul, self.elems)[0]
 
     def conjugate_by(self, g: int) -> "Subgroup":
         G = self.parent
@@ -294,13 +307,9 @@ class Subgroup:
 
 def closure_of(G: GroupTable, seed: Iterable[int]) -> np.ndarray:
     """Sorted element array of the subgroup generated by `seed` (plus identity)."""
-    elems = np.unique(np.array(sorted(set(seed) | {0}), dtype=np.int64))
-    while True:
-        prods = G.mul[np.ix_(elems, elems)]
-        new = np.unique(prods)
-        if new.size == elems.size:
-            return new.astype(np.int64)
-        elems = new
+    reached = np.zeros(G.order, dtype=bool)
+    _grow(G.mul, reached, np.zeros(1, dtype=np.intp), sorted(set(seed)))
+    return np.flatnonzero(reached)
 
 
 def subgroup_generated(G: GroupTable, seed: Iterable[int]) -> Subgroup:
@@ -672,26 +681,33 @@ def all_subgroups(G: GroupTable, cap: int = SUBGROUP_ORDER_CAP) -> list[Subgroup
     Closure algorithm: seed with every cyclic subgroup, then repeatedly extend
     each known subgroup H by one representative of each (H,H)-double coset and
     close, until no new subgroup appears. Adjoining x and adjoining any h1*x*h2
-    generate the same subgroup, so double-coset representatives suffice.
+    generate the same subgroup, so double-coset representatives suffice. Each
+    extension grows <H, r> from H's elements with generators gens(H) + (r,).
     """
     if G.order > cap:
         raise SizeLimitError(f"group order {G.order} exceeds subgroup cap {cap}")
     if G._subgroup_list is None:
         found: dict[tuple[int, ...], Subgroup] = {}
+        gens_of: dict[tuple[int, ...], tuple[int, ...]] = {}
         for x in range(G.order):
-            key = tuple(int(v) for v in closure_of(G, [x]))
+            key = tuple(closure_of(G, [x]).tolist())
             if key not in found:
                 found[key] = Subgroup(G, key)
+                gens_of[key] = (x,)
         work = list(found.values())
         while work:
             H = work.pop()
             for r in double_cosets(G, H, H).reps:
                 if H.mask[r]:
                     continue
-                key = tuple(int(v) for v in closure_of(G, list(H.elems) + [int(r)]))
+                gens = gens_of[H.elems] + (r,)
+                reached = H.mask.copy()
+                _grow(G.mul, reached, G.mul[H.elem_array, r], gens)
+                key = tuple(reached.nonzero()[0].tolist())
                 if key not in found:
                     sub = Subgroup(G, key)
                     found[key] = sub
+                    gens_of[key] = gens
                     work.append(sub)
         ordered = sorted(found.values(), key=lambda s: (s.order, s.elems))
         G._subgroup_list = tuple(ordered)
@@ -816,7 +832,7 @@ def subgroup_conjugacy_classes(G: GroupTable, subs: Sequence[Subgroup]) -> list[
         while frontier:
             cur = np.array(frontier.pop(), dtype=np.int64)
             for g in gens:
-                conj = tuple(int(x) for x in np.sort(G.mul[G.mul[G.inv[g], cur], g]))
+                conj = tuple(np.sort(G.mul[G.mul[G.inv[g], cur], g]).tolist())
                 if conj not in orbit:
                     if conj not in by_key:
                         raise VerificationError("conjugate of a subgroup missing from list")

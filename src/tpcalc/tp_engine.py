@@ -1,9 +1,11 @@
 """The group invariant: the minimum of P over all subgroups, with witnesses,
 plus machine checks of the structural theorems and value classifications.
 
-The minimum is taken over conjugacy-class representatives (inner automorphisms
-preserve P), with normal subgroups skipped after a Dedekind pre-check; the
-scan order is deterministic, so results are reproducible bit for bit.
+The minimum is taken over conjugacy-class representatives of the full subgroup
+lattice (inner automorphisms preserve P). A class of one subgroup is a normal
+subgroup, which gets P = 1 without a coset graph; when every class is
+normal (G Dedekind) the minimum is 1. The scan order is deterministic, so
+results are reproducible bit for bit.
 """
 
 from __future__ import annotations

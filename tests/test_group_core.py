@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpcalc import group_core as gc
 from tpcalc import presets
@@ -27,6 +29,36 @@ def brute_force_subgroups(G: gc.GroupTable) -> set[tuple[int, ...]]:
             if ok:
                 out.add(tuple(sorted(elems)))
     return out
+
+
+def reference_closure(G: gc.GroupTable, seed) -> np.ndarray:
+    """Independent closure oracle: the |S|^2-product fixed point."""
+    elems = np.array(sorted({int(x) for x in seed} | {0}), dtype=np.int64)
+    while True:
+        new = np.unique(G.mul[np.ix_(elems, elems)])
+        if new.size == elems.size:
+            return new
+        elems = new
+
+
+def reference_greedy(G: gc.GroupTable, elems) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Greedy generating sequence of the subgroup with elements `elems`, re-closed
+    from scratch with the oracle at every step, and the order after each step."""
+    gens, sizes, current = [], [], {0}
+    while len(current) < len(elems):
+        gens.append(min(set(elems) - current))
+        current = set(reference_closure(G, gens).tolist())
+        sizes.append(len(current))
+    return tuple(gens), tuple(sizes)
+
+
+def gaussian_binomial(r: int, k: int, p: int) -> int:
+    """The number of k-dimensional subspaces of GF(p)^r."""
+    num = den = 1
+    for i in range(k):
+        num *= p**r - p**i
+        den *= p**k - p**i
+    return num // den
 
 
 class TestTableValidation:
@@ -74,6 +106,16 @@ class TestTableValidation:
         assert found is not None
         with pytest.raises(ParameterError):
             gc.GroupTable(found)
+
+    def test_rejects_nonassociative_table_of_order_520(self):
+        # Swapping the intercalate at rows 1, 261 and columns 4, 264 of C_520
+        # keeps a Latin square with identity and two-sided inverses, and breaks
+        # associativity on few enough triples that random sampling misses it.
+        mul = np.array(gc.cyclic(520).mul)
+        rows, cols = [1, 261], [4, 264]
+        mul[np.ix_(rows, cols)] = mul[np.ix_(rows[::-1], cols)]
+        with pytest.raises(ParameterError, match="not associative"):
+            gc.GroupTable(mul)
 
     def test_every_zoo_table_revalidates(self, zoo):
         for G in zoo.values():
@@ -209,6 +251,27 @@ class TestSubgroupEnumeration:
                 for x in range(G.order):
                     grown = gc.subgroup_generated(G, list(s.elems) + [x])
                     assert grown.elems in keys
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(data=st.data())
+    def test_closure_against_reference(self, zoo, data):
+        name = data.draw(st.sampled_from(sorted(zoo)))
+        G = zoo[name]
+        seed = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
+        got = gc.closure_of(G, seed)
+        assert got.tolist() == reference_closure(G, seed).tolist(), (name, seed)
+
+    @pytest.mark.parametrize("p, r, want", [(2, 4, 67), (3, 3, 28), (5, 2, 8), (2, 6, 2825)])
+    def test_elementary_abelian_counts(self, p, r, want):
+        assert sum(gaussian_binomial(r, k, p) for k in range(r + 1)) == want
+        assert len(gc.all_subgroups(gc.elementary_abelian(p, r))) == want
+
+    def test_generators_match_reference_greedy(self, zoo):
+        for name, G in zoo.items():
+            assert (G.minimal_generators, G.generator_chain_sizes) \
+                == reference_greedy(G, range(G.order)), name
+            for s in gc.all_subgroups(G):
+                assert s.generators() == reference_greedy(G, s.elems)[0], (name, s.elems)
 
     def test_sorted_deterministically(self, zoo):
         subs = gc.all_subgroups(zoo["d4"])
