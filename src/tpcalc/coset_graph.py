@@ -1,10 +1,10 @@
 """The bipartite intersection graph of left cosets of H against right cosets
 of K, its components, weights, and the component-count bounds.
 
-Components are recovered by union-find over nonempty coset intersections and
-then cross-checked against an independent double-coset decomposition before a
-graph is returned. Construction is a pure function of (G, H, K); distinct
-pairs may be processed concurrently.
+The components are the (K,H)-double cosets: the blocks come from
+`double_cosets` and are checked against the intersection matrix before a graph
+is returned. Construction is a pure function of (G, H, K); distinct pairs may
+be processed concurrently.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import PreconditionError, VerificationError
 from .group_core import (
     GroupTable,
     Subgroup,
+    conjugates,
     conjugator_count,
     cosets,
     double_cosets,
@@ -58,7 +59,6 @@ class Component:
     right_vertices: tuple[int, ...]  # minimal reps of its right cosets
     t: int
     weight: int
-    double_coset_rep: int
 
 
 @dataclass(frozen=True)
@@ -78,27 +78,19 @@ class CosetGraph:
         return TVector(tuple(sorted((c.t for c in self.components), reverse=True)))
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.up = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.up[x] != x:
-            self.up[x] = self.up[self.up[x]]
-            x = self.up[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.up[max(ra, rb)] = min(ra, rb)
-
-
 def build_coset_graph(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> CosetGraph:
-    """Assemble the graph for (G, H, K) and assert every structural invariant:
-    complete bipartite components with constant weight, weight * size = |H|,
-    sizes summing to the index, the trivial-component count matching the
-    conjugator-counting formula, and component/double-coset agreement.
+    """Assemble the graph for (G, H, K), one component per (K,H)-double coset.
+
+    W[i, j] = |l_i H meet K r_j|. Each left coset l_i H and each right coset
+    K r_j lies inside one double coset, its block. The checks: no coset
+    straddles two blocks; W is zero between blocks; inside each block W is a
+    positive constant w, the block has t left and t right cosets, w * t = |H|
+    and t divides |K|; the trivial-component count matches the
+    conjugator-counting formula. Zero between blocks and positive within them
+    make the blocks exactly the components, and every coset lies in one
+    block, so there are as many components as double cosets and their sizes
+    t sum to the index. A merged block leaves a zero inside it; a split one
+    leaves a coset straddling two blocks, and an edge between them.
     """
     if K is None:
         K = H
@@ -114,21 +106,21 @@ def build_coset_graph(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> 
     # W[i, j] = |l_i H  intersect  K r_j|: count elements by (left, right) coset
     W = np.bincount(left.ids * n + right.ids, minlength=n * n).reshape(n, n)
 
-    uf = _UnionFind(2 * n)
-    li, rj = np.nonzero(W)
-    for i, j in zip(li.tolist(), rj.tolist()):
-        uf.union(i, n + j)
-    groups: dict[int, tuple[list[int], list[int]]] = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), ([], []))[0].append(i)
-    for j in range(n):
-        groups.setdefault(uf.find(n + j), ([], []))[1].append(j)
-
-    dcs = double_cosets(G, H, K)
+    block_of = double_cosets(G, H, K).block_of
+    lblock = np.empty(n, dtype=np.intp)
+    lblock[left.ids] = block_of
+    rblock = np.empty(n, dtype=np.intp)
+    rblock[right.ids] = block_of
+    if not (np.array_equal(lblock[left.ids], block_of)
+            and np.array_equal(rblock[right.ids], block_of)):
+        raise VerificationError("a coset straddles two double cosets")
+    if W[lblock[:, None] != rblock[None, :]].any():
+        raise VerificationError("cosets in different double cosets intersect")
     components = []
-    for root in sorted(groups):
-        lefts, rights = groups[root]
-        if len(lefts) != len(rights) or not lefts:
+    for b in np.unique(block_of).tolist():
+        lefts = np.flatnonzero(lblock == b)
+        rights = np.flatnonzero(rblock == b)
+        if len(lefts) != len(rights):
             raise VerificationError("component is not balanced bipartite")
         sub = W[np.ix_(lefts, rights)]
         w = int(sub[0, 0])
@@ -139,26 +131,14 @@ def build_coset_graph(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> 
             raise VerificationError("weight * size != |H| in a component")
         if K.order % t != 0:
             raise VerificationError("component size does not divide |K|")
-        lmask = np.isin(left.ids, lefts)
-        rmask = np.isin(right.ids, rights)
-        if not np.array_equal(lmask, rmask):
-            raise VerificationError("left and right coset unions differ in a component")
-        rep = int(np.flatnonzero(lmask)[0])
-        if dcs.sizes[dcs.block_of[rep]] != int(lmask.sum()):
-            raise VerificationError("component does not fill its double coset")
         components.append(Component(
             left_vertices=tuple(lreps[i] for i in lefts),
             right_vertices=tuple(rreps[j] for j in rights),
             t=t,
             weight=w,
-            double_coset_rep=rep,
         ))
 
     s = len(components)
-    if s != len(dcs.reps):
-        raise VerificationError("component count differs from double-coset count")
-    if sum(c.t for c in components) != n:
-        raise VerificationError("component sizes do not sum to the index")
     m = sum(1 for c in components if c.t == 1)
     m_formula = conjugator_count(G, H, K) // H.order
     if m != m_formula:
@@ -219,12 +199,6 @@ def frobenius_s2_check(G: GroupTable, H: Subgroup) -> FrobeniusS2Report:
 
 
 def _is_malnormal(G: GroupTable, H: Subgroup) -> bool:
-    arr = H.elem_array
-    mask = H.mask
-    for g in range(G.order):
-        if mask[g]:
-            continue
-        conj = G.mul[G.mul[G.inv[g], arr], g]
-        if np.count_nonzero(mask[conj]) > 1:
-            return False
-    return True
+    """Whether H meets H^g trivially for every g outside H."""
+    meets = H.mask[conjugates(G, H.elem_array)].sum(axis=1)
+    return bool((meets[~H.mask] <= 1).all())

@@ -39,7 +39,7 @@ CLOSURE_ELEMENT_CAP = 20_000
 class GroupTable:
     """A finite group given by its multiplication table of element indices."""
 
-    def __init__(self, mul, labels: Sequence[str] | None = None, provenance: str = ""):
+    def __init__(self, mul, provenance: str = ""):
         mul = np.ascontiguousarray(mul, dtype=np.int32)
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1] or mul.shape[0] == 0:
             raise ParameterError("multiplication table must be a nonempty square matrix")
@@ -58,8 +58,6 @@ class GroupTable:
             raise ParameterError("table has no two-sided inverses")
         gens, chain_sizes = _greedy_chain(mul, range(n))
         _check_associativity(mul, gens)
-        if labels is not None and len(labels) != n:
-            raise ParameterError("labels length must equal the group order")
         mul.setflags(write=False)
         inv.setflags(write=False)
         self.mul = mul
@@ -70,25 +68,14 @@ class GroupTable:
         self.minimal_generators: tuple[int, ...] = gens
         self.generator_chain_sizes: tuple[int, ...] = chain_sizes
         self.identity = 0
-        self.labels = tuple(labels) if labels is not None else None
         self.provenance = provenance
         self._subgroup_list: tuple["Subgroup", ...] | None = None
         self._tp_cache = None
 
     # -- basic element operations ------------------------------------------
 
-    def elements(self) -> range:
-        return range(self.order)
-
-    def multiply(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
-
     def inverse(self, a: int) -> int:
         return int(self.inv[a])
-
-    def conjugate(self, x: int, g: int) -> int:
-        """g^-1 x g."""
-        return int(self.mul[self.mul[self.inv[g], x], g])
 
     def power(self, x: int, k: int) -> int:
         if k < 0:
@@ -100,9 +87,6 @@ class GroupTable:
             base = int(self.mul[base, base])
             k >>= 1
         return acc
-
-    def label(self, a: int) -> str:
-        return self.labels[a] if self.labels is not None else str(a)
 
     def __repr__(self) -> str:
         tag = self.provenance or "group"
@@ -137,27 +121,12 @@ class GroupTable:
 
     @cached_property
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
-        n = self.order
-        cls_id = np.full(n, -1, dtype=np.int64)
-        classes = []
-        gens = self.minimal_generators or (0,)
-        for x in range(n):
-            if cls_id[x] >= 0:
-                continue
-            orbit = {x}
-            frontier = [x]
-            while frontier:
-                y = frontier.pop()
-                for g in gens:
-                    z = self.conjugate(y, g)
-                    if z not in orbit:
-                        orbit.add(z)
-                        frontier.append(z)
-            block = tuple(sorted(orbit))
-            for y in block:
-                cls_id[y] = len(classes)
-            classes.append(block)
-        return tuple(classes)
+        """Ascending classes, ordered by least member. Column x of the
+        conjugation table lists the class of x, so its least entry names it."""
+        least = conjugates(self, np.arange(self.order)).min(axis=0)
+        by_class = np.argsort(least, kind="stable")
+        cuts = np.flatnonzero(np.diff(least[by_class])) + 1
+        return tuple(tuple(c.tolist()) for c in np.split(by_class, cuts))
 
     @cached_property
     def class_size_of(self) -> np.ndarray:
@@ -300,9 +269,16 @@ class Subgroup:
         return _greedy_chain(self.parent.mul, self.elems)[0]
 
     def conjugate_by(self, g: int) -> "Subgroup":
-        G = self.parent
-        conj = G.mul[G.mul[G.inv[g], self.elem_array], g]
-        return Subgroup(G, tuple(sorted(int(x) for x in conj)))
+        conj = conjugates(self.parent, self.elem_array, [g])[0]
+        return Subgroup(self.parent, tuple(np.sort(conj).tolist()))
+
+
+def conjugates(G: GroupTable, elems, gs=None) -> np.ndarray:
+    """The conjugation table: entry [i, j] is g_i^-1 x_j g_i for x_j in
+    `elems` and g_i in `gs`, or in all of G (g_i = i) when `gs` is None."""
+    gs = np.arange(G.order) if gs is None else np.asarray(gs, dtype=np.intp)
+    elems = np.asarray(elems, dtype=np.intp)
+    return G.mul[G.mul[G.inv[gs][:, None], elems[None, :]], gs[:, None]]
 
 
 def closure_of(G: GroupTable, seed: Iterable[int]) -> np.ndarray:
@@ -772,18 +748,10 @@ class SubgroupRelations:
 
 def subgroup_relations(G: GroupTable, H: Subgroup) -> SubgroupRelations:
     """Normalizer, normal core, and normality flag of H in G."""
-    mask = H.mask
-    arr = H.elem_array
-    norm_elems = [g for g in range(G.order)
-                  if mask[G.mul[G.mul[G.inv[g], arr], g]].all()]
-    normalizer = Subgroup(G, tuple(norm_elems))
-    core_mask = mask.copy()
-    for g in range(G.order):
-        conj = G.mul[G.mul[G.inv[g], arr], g]
-        cm = np.zeros(G.order, dtype=bool)
-        cm[conj] = True
-        core_mask &= cm
-    core = Subgroup(G, tuple(int(x) for x in np.flatnonzero(core_mask)))
+    # [g, h] says whether h^g lies in H; the core is the h with every h^g in H
+    inside = H.mask[conjugates(G, H.elem_array)]
+    normalizer = Subgroup(G, tuple(np.flatnonzero(inside.all(axis=1)).tolist()))
+    core = Subgroup(G, tuple(H.elem_array[inside.all(axis=0)].tolist()))
     is_normal = normalizer.order == G.order
     if is_normal != (core.order == H.order):
         raise VerificationError("normalizer and core disagree about normality")
@@ -791,9 +759,7 @@ def subgroup_relations(G: GroupTable, H: Subgroup) -> SubgroupRelations:
 
 
 def is_normal_subgroup(G: GroupTable, H: Subgroup) -> bool:
-    mask = H.mask
-    arr = H.elem_array
-    return all(mask[G.mul[G.mul[G.inv[g], arr], g]].all() for g in G.minimal_generators)
+    return bool(H.mask[conjugates(G, H.elem_array, G.minimal_generators)].all())
 
 
 def _conjugators(G: GroupTable, H: Subgroup, K: Subgroup) -> np.ndarray:
@@ -801,9 +767,7 @@ def _conjugators(G: GroupTable, H: Subgroup, K: Subgroup) -> np.ndarray:
     exactly when |H| = |K| and H^g lies inside K."""
     if H.order != K.order:
         return np.zeros(0, dtype=np.int64)
-    g = np.arange(G.order)
-    conj = G.mul[G.mul[G.inv[:, None], H.elem_array[None, :]], g[:, None]]
-    return np.flatnonzero(K.mask[conj].all(axis=1))
+    return np.flatnonzero(K.mask[conjugates(G, H.elem_array)].all(axis=1))
 
 
 def are_conjugate(G: GroupTable, H: Subgroup, K: Subgroup) -> tuple[bool, int | None]:
@@ -830,9 +794,8 @@ def subgroup_conjugacy_classes(G: GroupTable, subs: Sequence[Subgroup]) -> list[
         orbit = {key}
         frontier = [key]
         while frontier:
-            cur = np.array(frontier.pop(), dtype=np.int64)
-            for g in gens:
-                conj = tuple(np.sort(G.mul[G.mul[G.inv[g], cur], g]).tolist())
+            for row in np.sort(conjugates(G, frontier.pop(), gens), axis=1):
+                conj = tuple(row.tolist())
                 if conj not in orbit:
                     if conj not in by_key:
                         raise VerificationError("conjugate of a subgroup missing from list")

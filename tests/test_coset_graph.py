@@ -3,7 +3,7 @@ import pytest
 
 from tpcalc import coset_graph as cg
 from tpcalc import group_core as gc
-from tpcalc.errors import PreconditionError
+from tpcalc.errors import PreconditionError, VerificationError
 
 
 def naive_intersections(G, H, K):
@@ -22,6 +22,36 @@ def naive_intersections(G, H, K):
             seen.add(coset)
             rights.append(coset)
     return lefts, rights, [[len(a & b) for b in rights] for a in lefts]
+
+
+def naive_components(G, H, K):
+    """Oracle: (left reps, right reps, t, weight) per component, by BFS over
+    the nonzero entries of `naive_intersections`, ordered by least left rep."""
+    lefts, rights, table = naive_intersections(G, H, K)
+    n = len(lefts)
+    seen = [False] * (2 * n)  # vertex i < n is left coset i, n + j is right coset j
+    out = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        frontier, members = [start], [start]
+        while frontier:
+            v = frontier.pop()
+            nbrs = ([n + j for j in range(n) if table[v][j]] if v < n
+                    else [i for i in range(n) if table[i][v - n]])
+            for u in nbrs:
+                if not seen[u]:
+                    seen[u] = True
+                    frontier.append(u)
+                    members.append(u)
+        ls = sorted(v for v in members if v < n)
+        rs = sorted(v - n for v in members if v >= n)
+        weights = {table[i][j] for i in ls for j in rs}
+        assert len(weights) == 1 and len(ls) == len(rs)
+        out.append((tuple(min(lefts[i]) for i in ls), tuple(min(rights[j]) for j in rs),
+                    len(ls), weights.pop()))
+    return sorted(out)
 
 
 def subgroup_of_order(G, k):
@@ -210,6 +240,21 @@ class TestGraphInvariantSweep:
         for comp in graph.components:
             blocks = {int(dcs.block_of[rep]) for rep in comp.left_vertices}
             assert len(blocks) == 1
+        # oracle: components found by BFS over the naive intersection table
+        checked = 0
+        for name, G in zoo.items():
+            if G.order > 24:
+                continue
+            subs = gc.all_subgroups(G)
+            for H in subs:
+                for K in subs:
+                    if K.order == H.order:
+                        graph = cg.build_coset_graph(G, H, K)
+                        got = [(c.left_vertices, c.right_vertices, c.t, c.weight)
+                               for c in graph.components]
+                        assert got == naive_components(G, H, K), name
+                        checked += 1
+        assert checked > 1000
 
     def test_t_entries_divide_subgroup_order(self, zoo):
         for name in ("a4", "s4", "d6", "c3_c4", "f20"):
@@ -218,6 +263,57 @@ class TestGraphInvariantSweep:
                 graph = cg.build_coset_graph(G, cls[0])
                 assert all(cls[0].order % t == 0 for t in graph.t_vector)
                 assert sum(graph.t_vector) == graph.n
+
+
+class TestPlantedDoubleCosetFaults:
+    """A wrong `double_cosets` must not yield a graph."""
+
+    def plant(self, monkeypatch, edit):
+        real = cg.double_cosets
+
+        def planted(G, H, K):
+            dcs = real(G, H, K)
+            block_of = edit(G, H, dcs.block_of.copy())
+            return gc.DoubleCosets(dcs.reps, dcs.sizes, block_of)
+
+        monkeypatch.setattr(cg, "double_cosets", planted)
+
+    def pairs(self, zoo):
+        for name in ("s3", "a4", "d6", "f20"):
+            G = zoo[name]
+            for cls in gc.subgroup_conjugacy_classes(G, gc.all_subgroups(G)):
+                if len(cls) > 1:  # non-normal: some double coset holds 2+ cosets
+                    yield G, cls[0]
+
+    def test_merged_blocks_rejected(self, zoo, monkeypatch):
+        pairs = list(self.pairs(zoo))
+        assert len(pairs) >= 8
+
+        def merge(G, H, block_of):
+            block_of[block_of == 1] = 0
+            return block_of
+
+        self.plant(monkeypatch, merge)
+        for G, H in pairs:
+            with pytest.raises(VerificationError, match="constant weight"):
+                cg.build_coset_graph(G, H)
+
+    def test_split_block_rejected(self, zoo, monkeypatch):
+        pairs = list(self.pairs(zoo))
+
+        def split(G, H, block_of):
+            # move one left coset of the largest block into a block of its own
+            big = np.bincount(block_of).argmax()
+            x = int(np.flatnonzero(block_of == big)[-1])
+            block_of[G.mul[x, H.elem_array]] = block_of.max() + 1
+            return block_of
+
+        self.plant(monkeypatch, split)
+        for G, H in pairs:
+            # the straddling-coset check and the zero-between-blocks check
+            # each catch a split on their own
+            with pytest.raises(VerificationError, match="straddles|intersect"):
+                cg.build_coset_graph(G, H)
 
 
 class TestInducedSubgraph:

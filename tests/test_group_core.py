@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tpcalc import coset_graph as cg
 from tpcalc import group_core as gc
 from tpcalc import presets
 from tpcalc.errors import (
@@ -371,16 +372,35 @@ class TestRelations:
         assert gc.are_conjugate(s3, H, rot) == (False, None)
 
     def test_conjugators_against_loop_oracle(self, zoo):
-        for name in ("s3", "a4", "d6"):
+        for name in ("s3", "a4", "d6", "f20"):
             G = zoo[name]
+
+            def conj(x, g):
+                return int(G.mul[G.mul[G.inv[g], x], g])
+
             subs = gc.all_subgroups(G)
             for H in subs:
+                h_set = frozenset(H.elems)
+                images = [frozenset(conj(h, g) for h in H.elems) for g in range(G.order)]
+                for g in range(G.order):
+                    assert H.conjugate_by(g).elems == tuple(sorted(images[g])), name
                 for K in subs:
-                    witnesses = [g for g in range(G.order) if H.order == K.order
-                                 and H.conjugate_by(g).elems == K.elems]
+                    witnesses = [g for g in range(G.order) if images[g] == frozenset(K.elems)]
                     assert gc.conjugator_count(G, H, K) == len(witnesses), name
                     want = (True, witnesses[0]) if witnesses else (False, None)
                     assert gc.are_conjugate(G, H, K) == want, name
+                rel = gc.subgroup_relations(G, H)
+                normalizer = tuple(g for g in range(G.order) if images[g] == h_set)
+                assert rel.normalizer.elems == normalizer, name
+                assert rel.core.elems == tuple(sorted(frozenset.intersection(*images))), name
+                normal = len(normalizer) == G.order
+                assert rel.is_normal == gc.is_normal_subgroup(G, H) == normal, name
+                malnormal = all(len(images[g] & h_set) == 1
+                                for g in range(G.order) if g not in h_set)
+                assert cg._is_malnormal(G, H) == malnormal, name
+            classes = {tuple(sorted({conj(x, g) for g in range(G.order)}))
+                       for x in range(G.order)}
+            assert G.conjugacy_classes == tuple(sorted(classes)), name
 
 
 class TestQuotients:
