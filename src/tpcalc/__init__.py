@@ -21,6 +21,7 @@ from .errors import (
 )
 from .group_core import (
     GroupTable,
+    Lattice,
     StructureReport,
     Subgroup,
     all_subgroups,
@@ -38,6 +39,7 @@ from .group_core import (
     generalized_quaternion,
     has_section,
     is_isomorphic,
+    lattice,
     quotient_group,
     semidirect_product,
     subgroup_generated,

@@ -32,8 +32,6 @@ from . import __version__, presets
 from .errors import FormatError, ParameterError, SizeLimitError, TpcalcError
 from .group_core import (
     GroupTable,
-    all_subgroups,
-    subgroup_conjugacy_classes,
     cp_rtimes_c2n,
     cyclic,
     dihedral,
@@ -42,6 +40,7 @@ from .group_core import (
     field_frobenius,
     from_permutation_generators,
     generalized_quaternion,
+    lattice,
     read_cayley_table,
     read_permutation_generators,
     semidirect_product,
@@ -360,7 +359,7 @@ def _graph_check(entry: CatalogEntry, G: GroupTable) -> list[TheoremVerdict]:
 def _bounds_check(entry: CatalogEntry, G: GroupTable) -> list[TheoremVerdict]:
     ok = True
     rows = []
-    for cls in subgroup_conjugacy_classes(G, all_subgroups(G)):
+    for cls in lattice(G).classes:
         rep = cls[0]
         if len(cls) == 1:
             continue  # normal: the sharp-window clauses are out of scope
@@ -448,10 +447,11 @@ def resolve_checks(names: Sequence[str] | None) -> list[str]:
 class ResultsCache:
     """Append-friendly line-delimited JSON cache of computed tp results,
     keyed by (catalog hash, group id); the catalog hash covers the built
-    tables and the package version. Stale or corrupt lines are skipped."""
+    tables and the package version. Stale lines are skipped, and so is any
+    line that does not parse into a whole result (counted as corrupt)."""
 
     path: Path
-    entries: dict[tuple[str, str], dict] = field(default_factory=dict)
+    entries: dict[tuple[str, str], TpResult] = field(default_factory=dict)
     corrupt_lines: int = 0
 
     @classmethod
@@ -465,37 +465,30 @@ class ResultsCache:
                 continue
             try:
                 row = json.loads(line)
-                key = (row["catalog_hash"], row["group"])
-                Fraction(int(row["tp"]["num"]), int(row["tp"]["den"]))
-                cache.entries[key] = row
+                result = TpResult(
+                    group_id=row["group"],
+                    tp=Fraction(int(row["tp"]["num"]), int(row["tp"]["den"])),
+                    witnesses=tuple(tuple(int(x) for x in w) for w in row["witnesses"]),
+                    subgroup_count=int(row["subgroup_count"]),
+                )
+                cache.entries[(row["catalog_hash"], result.group_id)] = result
             except (KeyError, ValueError, TypeError, ZeroDivisionError):
                 cache.corrupt_lines += 1
         return cache
 
     def get(self, cat_hash: str, group_id: str) -> TpResult | None:
-        row = self.entries.get((cat_hash, group_id))
-        if row is None:
-            return None
-        return TpResult(
-            group_id=group_id,
-            tp=Fraction(int(row["tp"]["num"]), int(row["tp"]["den"])),
-            witnesses=tuple(tuple(int(x) for x in w) for w in row["witnesses"]),
-            subgroup_count=int(row["subgroup_count"]),
-        )
+        return self.entries.get((cat_hash, group_id))
 
     def put(self, cat_hash: str, result: TpResult) -> None:
-        row = {
-            "catalog_hash": cat_hash,
-            "group": result.group_id,
-            "tp": {"num": str(result.tp.numerator), "den": str(result.tp.denominator)},
-            "witnesses": [list(w) for w in result.witnesses],
-            "subgroup_count": result.subgroup_count,
-        }
-        self.entries[(cat_hash, result.group_id)] = row
+        self.entries[(cat_hash, result.group_id)] = result
 
     def save(self) -> None:
-        lines = [json.dumps(self.entries[k], sort_keys=True)
-                 for k in sorted(self.entries)]
+        lines = [json.dumps({"catalog_hash": cat_hash,
+                             "group": result.group_id,
+                             "tp": rational_json(result.tp),
+                             "witnesses": [list(w) for w in result.witnesses],
+                             "subgroup_count": result.subgroup_count}, sort_keys=True)
+                 for (cat_hash, _), result in sorted(self.entries.items())]
         self.path.write_text("\n".join(lines) + ("\n" if lines else ""))
 
 

@@ -34,9 +34,8 @@ from .errors import FormatError, ParameterError, SizeLimitError, TpcalcError
 from .group_core import (
     GroupTable,
     Subgroup,
-    all_subgroups,
     classify_structure,
-    is_normal_subgroup,
+    lattice,
     read_cayley_table,
     subgroup_generated,
     write_cayley_table,
@@ -83,12 +82,13 @@ def cmd_group(args) -> int:
               f"derived {rep.derived_order}")
         return EXIT_OK
     # subgroups
-    subs = all_subgroups(G, cap=args.cap_order)
-    for s in subs:
-        flag = "normal" if is_normal_subgroup(G, s) else "      "
+    lat = lattice(G, cap=args.cap_order)
+    normal = set(lat.normal)
+    for s in lat.subgroups:
+        flag = "normal" if s in normal else "      "
         gens = ",".join(str(g) for g in s.generators()) or "-"
         print(f"order {s.order:>4}  index {s.index:>4}  {flag}  gens {gens}")
-    print(f"total {len(subs)} subgroups")
+    print(f"total {len(lat.subgroups)} subgroups")
     return EXIT_OK
 
 

@@ -6,11 +6,15 @@ Conventions, fixed once for the whole package:
   * the canonical key of a subgroup is its sorted element tuple.
 
 The tables of GroupTable and Subgroup are read-only arrays. Derived data
-(fingerprints, subgroup lists) is cached on first use and only ever replaced
-by an identical value. The tp memo `_tp_cache` is the exception: `tp()` writes
-it and `catalog.scan_entry` plants it from the results cache. It is replaced
-only by a recomputed result with the same tp (which may add the per-class
-table); `tp()` raises VerificationError otherwise.
+(fingerprints, the subgroup lattice) is cached on first use and only ever
+replaced by an identical value. `lattice(G)` is the one place that enumerates
+the subgroups of a table, splits them into conjugacy classes and decides which
+are normal; every consumer reads that value.
+
+The tp memo `_tp_cache` is the exception: `tp()` writes it and
+`catalog.scan_entry` plants it from the results cache. It is replaced only by
+a recomputed result with the same tp, witnesses and subgroup count (which may
+add the per-class table); `tp()` raises VerificationError otherwise.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ class GroupTable:
         self.generator_chain_sizes: tuple[int, ...] = chain_sizes
         self.identity = 0
         self.provenance = provenance
-        self._subgroup_list: tuple["Subgroup", ...] | None = None
+        self._lattice: Lattice | None = None
         self._tp_cache = None
 
     # -- basic element operations ------------------------------------------
@@ -662,32 +666,51 @@ def all_subgroups(G: GroupTable, cap: int = SUBGROUP_ORDER_CAP) -> list[Subgroup
     """
     if G.order > cap:
         raise SizeLimitError(f"group order {G.order} exceeds subgroup cap {cap}")
-    if G._subgroup_list is None:
-        found: dict[tuple[int, ...], Subgroup] = {}
-        gens_of: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for x in range(G.order):
-            key = tuple(closure_of(G, [x]).tolist())
+    found: dict[tuple[int, ...], Subgroup] = {}
+    gens_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for x in range(G.order):
+        key = tuple(closure_of(G, [x]).tolist())
+        if key not in found:
+            found[key] = Subgroup(G, key)
+            gens_of[key] = (x,)
+    work = list(found.values())
+    while work:
+        H = work.pop()
+        for r in double_cosets(G, H, H).reps:
+            if H.mask[r]:
+                continue
+            gens = gens_of[H.elems] + (r,)
+            reached = H.mask.copy()
+            _grow(G.mul, reached, G.mul[H.elem_array, r], gens)
+            key = tuple(reached.nonzero()[0].tolist())
             if key not in found:
-                found[key] = Subgroup(G, key)
-                gens_of[key] = (x,)
-        work = list(found.values())
-        while work:
-            H = work.pop()
-            for r in double_cosets(G, H, H).reps:
-                if H.mask[r]:
-                    continue
-                gens = gens_of[H.elems] + (r,)
-                reached = H.mask.copy()
-                _grow(G.mul, reached, G.mul[H.elem_array, r], gens)
-                key = tuple(reached.nonzero()[0].tolist())
-                if key not in found:
-                    sub = Subgroup(G, key)
-                    found[key] = sub
-                    gens_of[key] = gens
-                    work.append(sub)
-        ordered = sorted(found.values(), key=lambda s: (s.order, s.elems))
-        G._subgroup_list = tuple(ordered)
-    return list(G._subgroup_list)
+                sub = Subgroup(G, key)
+                found[key] = sub
+                gens_of[key] = gens
+                work.append(sub)
+    return sorted(found.values(), key=lambda s: (s.order, s.elems))
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """Every subgroup of one table, split into conjugacy classes."""
+
+    subgroups: tuple[Subgroup, ...]            # sorted by (order, elems)
+    classes: tuple[tuple[Subgroup, ...], ...]  # as subgroup_conjugacy_classes
+    normal: tuple[Subgroup, ...]               # one-member classes, as subgroups
+
+
+def lattice(G: GroupTable, cap: int = SUBGROUP_ORDER_CAP) -> Lattice:
+    """The subgroup lattice of G, built once per table. The cap is checked on
+    every call, so a memoised lattice obeys it too."""
+    if G.order > cap:
+        raise SizeLimitError(f"group order {G.order} exceeds subgroup cap {cap}")
+    if G._lattice is None:
+        subs = tuple(all_subgroups(G, cap))
+        classes = subgroup_conjugacy_classes(G, subs)
+        alone = {cls[0] for cls in classes if len(cls) == 1}
+        G._lattice = Lattice(subs, classes, tuple(s for s in subs if s in alone))
+    return G._lattice
 
 
 @dataclass(frozen=True)
@@ -781,7 +804,8 @@ def conjugator_count(G: GroupTable, H: Subgroup, K: Subgroup) -> int:
     return int(_conjugators(G, H, K).size)
 
 
-def subgroup_conjugacy_classes(G: GroupTable, subs: Sequence[Subgroup]) -> list[list[Subgroup]]:
+def subgroup_conjugacy_classes(G: GroupTable,
+                               subs: Sequence[Subgroup]) -> tuple[tuple[Subgroup, ...], ...]:
     """Partition of `subs` into conjugacy classes (orbit closure under G's
     generators); each class is sorted, classes ordered by their first member."""
     by_key = {s.elems: s for s in subs}
@@ -804,8 +828,8 @@ def subgroup_conjugacy_classes(G: GroupTable, subs: Sequence[Subgroup]) -> list[
         block = sorted(orbit)
         for k in block:
             remaining.pop(k, None)
-        classes.append([by_key[k] for k in block])
-    return classes
+        classes.append(tuple(by_key[k] for k in block))
+    return tuple(classes)
 
 
 def quotient_group(G: GroupTable, N: Subgroup) -> tuple[GroupTable, np.ndarray]:
@@ -976,18 +1000,15 @@ def classify_structure(G: GroupTable, cap: int = SUBGROUP_ORDER_CAP) -> Structur
     """Structure flags computed from first principles, with the supersolubility
     test done two independent ways (chief-factor orders vs maximal-subgroup
     indices) and cross-checked."""
-    if G.order > cap:
-        raise SizeLimitError(f"group order {G.order} exceeds cap {cap}")
+    lat = lattice(G, cap)
     series = derived_series(G)
     soluble = series[-1].size == 1
     derived_length = len(series) - 1 if soluble else None
     abelian = G.is_abelian
-    subs = all_subgroups(G, cap)
-    normal_flags = {s.elems: is_normal_subgroup(G, s) for s in subs}
-    dedekind = all(normal_flags.values())
-    nilpotent = _is_nilpotent(G, subs)
-    supers_chief = _supersoluble_by_chief_series(G, subs, normal_flags) if soluble else False
-    supers_maximal = _supersoluble_by_maximal_indices(G, subs) if soluble else False
+    dedekind = len(lat.normal) == len(lat.subgroups)
+    nilpotent = _is_nilpotent(G, lat.subgroups)
+    supers_chief = _supersoluble_by_chief_series(G, lat.normal) if soluble else False
+    supers_maximal = _supersoluble_by_maximal_indices(G, lat.subgroups) if soluble else False
     if supers_chief != supers_maximal:
         raise VerificationError(
             f"supersolubility tests disagree: chief={supers_chief} maximal={supers_maximal}")
@@ -1017,10 +1038,7 @@ def _is_nilpotent(G: GroupTable, subs: Sequence[Subgroup]) -> bool:
     return True
 
 
-def _supersoluble_by_chief_series(G: GroupTable, subs: Sequence[Subgroup],
-                                  normal_flags: dict) -> bool:
-    normals = sorted((s for s in subs if normal_flags[s.elems]),
-                     key=lambda s: (s.order, s.elems))
+def _supersoluble_by_chief_series(G: GroupTable, normals: Sequence[Subgroup]) -> bool:
     cur = normals[0]  # trivial subgroup
     while cur.order < G.order:
         over = [s for s in normals if s.order > cur.order and s.contains_subgroup(cur)]
@@ -1047,7 +1065,7 @@ def has_section(G: GroupTable, X: GroupTable) -> tuple[bool, tuple[Subgroup, Sub
     if X.order == 1:
         t = trivial_subgroup(G)
         return True, (t, t)
-    subs = all_subgroups(G)
+    subs = lattice(G).subgroups
     if not any(s.order % X.order == 0 for s in subs):
         return False, None
     for H in subs:
@@ -1059,8 +1077,8 @@ def has_section(G: GroupTable, X: GroupTable) -> tuple[bool, tuple[Subgroup, Sub
                 return True, (H, trivial_subgroup(G))
             continue
         target = H.order // X.order
-        for N in all_subgroups(Hg):
-            if N.order != target or not is_normal_subgroup(Hg, N):
+        for N in lattice(Hg).normal:
+            if N.order != target:
                 continue
             Q, _ = quotient_group(Hg, N)
             if is_isomorphic(Q, X):

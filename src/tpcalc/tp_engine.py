@@ -27,16 +27,14 @@ from .group_core import (
     Subgroup,
     all_subgroups,
     classify_structure,
-    closure_of,
     dihedral,
     direct_product,
     has_section,
     is_isomorphic,
-    is_normal_subgroup,
+    lattice,
     quotient_group,
     semidirect_product,
     subgroup_as_group,
-    subgroup_conjugacy_classes,
     subgroup_relations,
     trivial_subgroup,
 )
@@ -52,14 +50,13 @@ TP_4_OVER_81 = Fraction(4, 81)
 
 @dataclass(frozen=True)
 class SubgroupClassRecord:
-    """P and context for one conjugacy class of subgroups (representative)."""
+    """P and context for one conjugacy class of subgroups, by the subgroup
+    that heads the class."""
 
-    order: int
-    index: int
+    subgroup: Subgroup
     p: Fraction
     t_vector: tuple[int, ...]
     class_size: int
-    generators: tuple[int, ...]
     is_normal: bool
 
 
@@ -94,10 +91,13 @@ def tp(G: GroupTable, group_id: str = "", keep_table: bool = False,
         raise SizeLimitError(f"group order {G.order} exceeds subgroup cap {cap}")
     if G._tp_cache is None or (keep_table and G._tp_cache.table is None):
         fresh = _compute_tp(G, cap)
-        if G._tp_cache is not None and G._tp_cache.tp != fresh.tp:
-            # a planted (file-cached) value must agree with recomputation
-            raise VerificationError(
-                f"cached value {G._tp_cache.tp} disagrees with recomputed {fresh.tp}")
+        planted = G._tp_cache
+        if planted is not None:  # a planted (file-cached) row must match recomputation
+            for name in ("tp", "witnesses", "subgroup_count"):
+                if getattr(planted, name) != getattr(fresh, name):
+                    raise VerificationError(
+                        f"cached {name} {getattr(planted, name)} disagrees with "
+                        f"recomputed {getattr(fresh, name)}")
         G._tp_cache = fresh
     result = G._tp_cache
     if not keep_table:
@@ -108,12 +108,11 @@ def tp(G: GroupTable, group_id: str = "", keep_table: bool = False,
 
 
 def _compute_tp(G: GroupTable, cap: int) -> TpResult:
-    subs = all_subgroups(G, cap)
-    classes = subgroup_conjugacy_classes(G, subs)
+    lat = lattice(G, cap)
     records = []
     best: Fraction | None = None
     attaining: list[Subgroup] = []
-    for cls in classes:
+    for cls in lat.classes:
         rep = cls[0]
         normal = len(cls) == 1
         if normal:
@@ -129,15 +128,14 @@ def _compute_tp(G: GroupTable, cap: int) -> TpResult:
             elif value == best:
                 attaining.append(rep)
         records.append(SubgroupClassRecord(
-            order=rep.order, index=rep.index, p=value, t_vector=tvec,
-            class_size=len(cls), generators=rep.generators(), is_normal=normal))
+            subgroup=rep, p=value, t_vector=tvec, class_size=len(cls), is_normal=normal))
     if best is None:  # Dedekind: every subgroup normal, the minimum is 1
         best = Fraction(1)
         attaining = [trivial_subgroup(G)]
     witnesses = tuple(s.generators() for s in
                       sorted(attaining, key=lambda s: (s.order, s.elems)))
     return TpResult(group_id="", tp=best, witnesses=witnesses,
-                    subgroup_count=len(subs), table=tuple(records))
+                    subgroup_count=len(lat.subgroups), table=tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -147,19 +145,30 @@ def _compute_tp(G: GroupTable, cap: int) -> TpResult:
 def verify_monotonicity(G: GroupTable, group_id: str = "") -> list[TheoremVerdict]:
     """Subgroup, quotient, section, and p-group laws for the invariant."""
     tp_g = tp(G).tp
-    subs = all_subgroups(G)
-    classes = subgroup_conjugacy_classes(G, subs)
+    classes = lattice(G).classes
     verdicts = []
 
-    sub_pairs = []
-    ok_sub = True
+    # one table per proper class representative: its lattice, built by tp,
+    # also gives the normal subgroups N of the sections H/N
+    sub_pairs, sections = [], []
+    ok_sub = ok_sec = True
     for cls in classes:
         rep = cls[0]
         if rep.order == G.order:
             continue
-        tp_h = tp(subgroup_as_group(G, rep)).tp
+        H = subgroup_as_group(G, rep)
+        tp_h = tp(H).tp
         sub_pairs.append((rep.order, str(tp_h)))
         ok_sub = ok_sub and tp_g <= tp_h
+        for N in lattice(H).normal:
+            if len(sections) >= SECTION_SAMPLE_LIMIT:
+                break
+            if N.order in (1, H.order):
+                continue
+            X, _ = quotient_group(H, N)
+            tp_x = tp(X).tp
+            sections.append((rep.order, N.order, str(tp_x)))
+            ok_sec = ok_sec and tp_g <= tp_x
     verdicts.append(TheoremVerdict(
         "monotone-subgroups", group_id, hypothesis_holds=G.order > 1,
         conclusion_holds=ok_sub, details={"tp": str(tp_g), "pairs": sub_pairs}))
@@ -177,25 +186,6 @@ def verify_monotonicity(G: GroupTable, group_id: str = "") -> list[TheoremVerdic
     verdicts.append(TheoremVerdict(
         "monotone-quotients", group_id, hypothesis_holds=True,
         conclusion_holds=ok_quot, details={"tp": str(tp_g), "pairs": quot_pairs}))
-
-    ok_sec = True
-    sections = []
-    for cls in classes:
-        rep = cls[0]
-        if rep.order in (1, G.order):
-            continue
-        H = subgroup_as_group(G, rep)
-        for N in all_subgroups(H):
-            if len(sections) >= SECTION_SAMPLE_LIMIT:
-                break
-            if N.order in (1, H.order) or not is_normal_subgroup(H, N):
-                continue
-            X, _ = quotient_group(H, N)
-            tp_x = tp(X).tp
-            sections.append((rep.order, N.order, str(tp_x)))
-            ok_sec = ok_sec and tp_g <= tp_x
-        if len(sections) >= SECTION_SAMPLE_LIMIT:
-            break
     verdicts.append(TheoremVerdict(
         "monotone-sections", group_id, hypothesis_holds=True,
         conclusion_holds=ok_sec, details={"tp": str(tp_g), "sections": sections}))
@@ -328,23 +318,23 @@ def classify_special_values(G: GroupTable, group_id: str = "") -> list[TheoremVe
     for rec in result.table or ():
         if rec.is_normal:
             continue
+        sub = rec.subgroup
         p_single = _as_single_prime_ratio(rec.p)
         if p_single is not None:
-            sub = Subgroup(G, _subgroup_from_gens(G, rec.generators))
             rel = subgroup_relations(G, sub)
             m = rel.normalizer.order // sub.order
             n = sub.index
             ok = (sub.order % p_single == 0
                   and ((m == 1 and n == p_single + 1)
                        or (m == p_single and n == 2 * p_single)))
-            place_hits.append((rec.order, p_single, m, n, ok))
+            place_hits.append((sub.order, p_single, m, n, ok))
             place_ok = place_ok and ok
         pq = _as_prime_pair_ratio(rec.p)
         if pq is not None:
             p, q = pq
-            want = (q, p) + (1,) * (rec.index - p - q)
+            want = (q, p) + (1,) * (sub.index - p - q)
             ok = rec.t_vector == want
-            pair_hits.append((rec.order, p, q, ok))
+            pair_hits.append((sub.order, p, q, ok))
             pair_ok = pair_ok and ok
     verdicts.append(TheoremVerdict(
         "prime-ratio-placement", group_id, bool(place_hits), place_ok,
@@ -355,23 +345,17 @@ def classify_special_values(G: GroupTable, group_id: str = "") -> list[TheoremVe
     return verdicts
 
 
-def _subgroup_from_gens(G: GroupTable, gens: Sequence[int]) -> tuple[int, ...]:
-    return tuple(int(x) for x in closure_of(G, gens))
-
-
 def _quarter_family_of(G: GroupTable) -> str | None:
     ref = presets.quarter_family_i_reference(G.order)
     if ref is not None and is_isomorphic(G, ref[1]):
         return ref[0]
     refs = presets.quarter_classification_references()
-    for M in all_subgroups(G):
+    for M in lattice(G).normal:
         if M.order & (M.order - 1):
             continue  # not a power of two
         if G.order // M.order not in (12, 16):
             continue
         if not _is_cyclic_subgroup(G, M):
-            continue
-        if not is_normal_subgroup(G, M):
             continue
         Q, _ = quotient_group(G, M)
         for name, ref_group in refs.items():
@@ -466,7 +450,7 @@ def verify_graph_invariants(G: GroupTable, group_id: str = "") -> TheoremVerdict
     component-count bracket on each."""
     ok = True
     details = []
-    for cls in subgroup_conjugacy_classes(G, all_subgroups(G)):
+    for cls in lattice(G).classes:
         rep = cls[0]
         sb = s_bounds_check(G, rep)
         details.append((rep.order, sb.s, str(sb.lower), str(sb.upper), sb.holds))
@@ -501,7 +485,7 @@ def explore_cyclic_witness(G: GroupTable, group_id: str = "") -> TheoremVerdict:
     for rec in result.table or ():
         if rec.p != result.tp:
             continue
-        sub = Subgroup(G, _subgroup_from_gens(G, rec.generators))
+        sub = rec.subgroup
         if not _is_cyclic_subgroup(G, sub):
             continue
         primes = prime_factors(sub.order) or [1]

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -188,6 +189,27 @@ class TestScan:
         once = Counter(e.id for e in small_catalog)
         assert calls == {"structure": once, "classification": once}
 
+    def test_no_table_is_split_twice(self, monkeypatch):
+        original = gc.subgroup_conjugacy_classes
+        splits = Counter()
+        tables = []  # kept alive, so no id is reused
+
+        def counting(G, subs):
+            splits[id(G)] += 1
+            tables.append(G)
+            return original(G, subs)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "tpcalc" or name.startswith("tpcalc."):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counting)
+        ids = {"d4", "a4", "q8", "c7_c3", "s4"}
+        entries = [e for e in cat.builtin_catalog() if e.id in ids]
+        _, ok = cat.scan_and_report(entries)
+        assert ok and len(entries) == len(ids)
+        assert splits and max(splits.values()) == 1
+
     def test_mixed_subset_keeps_requested_order(self, small_catalog):
         subset = ["nilpotency", "monotonicity", "solubility-criterion", "pq-exclusion"]
         full, _ = cat.scan_and_report(small_catalog)
@@ -297,6 +319,45 @@ class TestCache:
         report, ok = cat.scan_and_report(entries, checks=["prime-ratio-placement"],
                                          cache=cache2)
         assert not ok  # the recomputation refuses the poisoned value
+
+    def _d5_cache(self, tmp_path, rows):
+        catalog = tmp_path / "cat.tsv"
+        catalog.write_text("d5\tdihedral 5\n")
+        h = cat.catalog_hash(cat.catalog_build(catalog))
+        good = {"catalog_hash": h, "group": "d5", "tp": {"num": "1", "den": "4"},
+                "witnesses": [[5]], "subgroup_count": 8}
+        cache = tmp_path / "c.jsonl"
+        cache.write_text("".join(json.dumps(dict(good, **row)) + "\n" for row in rows))
+        return catalog, cache, good
+
+    def test_rows_that_do_not_parse_are_corrupt(self, tmp_path, capsys):
+        catalog, cache, good = self._d5_cache(tmp_path, [
+            {"witnesses": [["x"]]}, {"witnesses": 5}, {"subgroup_count": "many"},
+            {"tp": {"num": "1", "den": "0"}}])
+        with cache.open("a") as fh:
+            fh.write(json.dumps({k: v for k, v in good.items() if k != "witnesses"}) + "\n")
+            fh.write("[1, 2]\n")
+        loaded = cat.ResultsCache.load(cache)
+        assert loaded.corrupt_lines == 6 and not loaded.entries
+        code = cli.main(["scan", "--catalog", str(catalog), "--cache", str(cache),
+                         "--checks", "expected-values"])
+        assert code == cli.EXIT_OK
+        assert "skipped 6 corrupt cache lines" in capsys.readouterr().err
+
+    def test_planted_row_is_checked_field_by_field(self, tmp_path):
+        right = te.tp(gc.dihedral(5))
+        assert (right.tp, right.witnesses, right.subgroup_count) == (Fraction(1, 4), ((5,),), 8)
+        for field, planted in ((None, {}), ("subgroup_count", {"subgroup_count": 999}),
+                               ("witnesses", {"witnesses": [[7]]})):
+            catalog, cache, _ = self._d5_cache(tmp_path, [planted])
+            report, ok = cat.scan_and_report(cat.catalog_build(catalog),
+                                             cache=cat.ResultsCache.load(cache))
+            row = report["entries"][0]
+            assert row["cache_hit"] is True
+            if field is None:  # the right row is a clean hit
+                assert ok and "error" not in row
+            else:
+                assert not ok and row["error"].startswith(f"cached {field} "), row["error"]
 
 
 class TestCli:

@@ -283,6 +283,37 @@ class TestSubgroupEnumeration:
             gc.all_subgroups(gc.cyclic(10), cap=5)
 
 
+class TestLattice:
+    def test_subgroups_are_the_enumeration(self, zoo):
+        for name in ("s3", "d4", "a4", "q8"):
+            G = zoo[name]
+            assert list(gc.lattice(G).subgroups) == gc.all_subgroups(G), name
+
+    def test_normal_are_the_self_normalizing_in_g(self, zoo):
+        for name, G in zoo.items():
+            lat = gc.lattice(G)
+            want = [s for s in lat.subgroups
+                    if gc.subgroup_relations(G, s).normalizer.order == G.order]
+            assert list(lat.normal) == want, name
+
+    def test_classes_are_orbits_under_every_element(self, zoo):
+        for name, G in zoo.items():
+            lat = gc.lattice(G)
+            orbits = {frozenset(s.conjugate_by(g).elems for g in range(G.order))
+                      for s in lat.subgroups}
+            got = [frozenset(s.elems for s in cls) for cls in lat.classes]
+            assert len(got) == len(orbits) and set(got) == orbits, name
+            assert sum(len(cls) for cls in lat.classes) == len(lat.subgroups), name
+            for cls in lat.classes:
+                assert list(cls) == sorted(cls, key=lambda s: s.elems), name
+
+    def test_built_once_and_cap_checked_on_every_call(self):
+        G = gc.dihedral(5)
+        assert gc.lattice(G) is gc.lattice(G)
+        with pytest.raises(SizeLimitError):
+            gc.lattice(G, cap=9)
+
+
 class TestSubgroupBasics:
     def test_generated_empty_is_trivial(self, zoo):
         assert gc.subgroup_generated(zoo["s3"], []).elems == (0,)

@@ -6,6 +6,7 @@ from tpcalc import group_core as gc
 from tpcalc import presets
 from tpcalc import tp_engine as te
 from tpcalc.errors import SizeLimitError
+from tpcalc.transversal import p_g
 
 
 def subgroup_of_order(G, k):
@@ -41,6 +42,17 @@ class TestTp:
         assert min(rec.p for rec in result.table) == result.tp
         normals = [rec for rec in result.table if rec.is_normal]
         assert all(rec.p == 1 for rec in normals)
+
+    def test_records_hold_the_class_heads(self, zoo):
+        for name, G in zoo.items():
+            if G.order > 24:
+                continue
+            table = te.tp(G, keep_table=True).table
+            classes = gc.lattice(G).classes
+            assert [rec.subgroup for rec in table] == [cls[0] for cls in classes], name
+            for rec, cls in zip(table, classes):
+                assert rec.class_size == len(cls), name
+                assert p_g(G, rec.subgroup) == rec.p, (name, rec.subgroup.elems)
 
     def test_cap_holds_on_a_memo_hit(self):
         with pytest.raises(SizeLimitError):
@@ -205,7 +217,7 @@ class TestSpecialValues:
                     continue
                 non_trivial = [t for t in rec.t_vector if t > 1]
                 assert non_trivial == [2, 2], name
-                m = rec.index - 4
+                m = rec.subgroup.index - 4
                 assert m in (1, 2, 4), name
                 hits += 1
         assert hits >= 5
