@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__, presets
-from .errors import FormatError, ParameterError, SizeLimitError, TpcalcError
+from .errors import FormatError, ParameterError, SizeLimitError, TpcalcError, VerificationError
 from .group_core import (
     GroupTable,
     cp_rtimes_c2n,
@@ -44,10 +44,11 @@ from .group_core import (
     read_cayley_table,
     read_permutation_generators,
     semidirect_product,
+    subgroup_generated,
     action_by_inversion,
     action_by_generator_power,
 )
-from .transversal import bounds_report
+from .transversal import bounds_report, p_g
 from .tp_engine import (
     TheoremVerdict,
     TpResult,
@@ -537,9 +538,10 @@ def scan_entry(entry: CatalogEntry, checks: Sequence[str], cap_order: int,
                    millis=_millis(started))
         return row
     cached = cache.get(cat_hash, entry.id) if cache is not None else None
-    if cached is not None and G._tp_cache is None:
-        G._tp_cache = dataclasses.replace(cached, group_id="")
     try:
+        if cached is not None and G._tp_cache is None:
+            _check_cached_witnesses(G, cached)
+            G._tp_cache = dataclasses.replace(cached, group_id="")
         result = tp(G, entry.id)
         row["tp"] = rational_json(result.tp)
         row["witnesses"] = [list(w) for w in result.witnesses]
@@ -570,6 +572,25 @@ def scan_entry(entry: CatalogEntry, checks: Sequence[str], cap_order: int,
         return row
     row["millis"] = _millis(started)
     return row
+
+
+def _check_cached_witnesses(G: GroupTable, cached: TpResult) -> None:
+    """A cached row is planted only if its witnesses attain its tp: there is
+    at least one (tp lists the trivial subgroup when every subgroup is
+    normal), and each lies in G and generates a subgroup with P = tp. A scan
+    that asks only for tp never recomputes the row, so this is what it checks
+    instead."""
+    if not cached.witnesses:
+        raise VerificationError(f"cached witnesses [] name no subgroup for tp {cached.tp}")
+    for w in cached.witnesses:
+        if not all(0 <= x < G.order for x in w):
+            raise VerificationError(
+                f"cached witnesses {list(w)} are not elements of a group of order {G.order}")
+        value = p_g(G, subgroup_generated(G, w))
+        if value != cached.tp:
+            raise VerificationError(
+                f"cached witnesses {list(w)} generate a subgroup with P = {value}, "
+                f"not the cached tp {cached.tp}")
 
 
 def _millis(started: float) -> int:

@@ -124,11 +124,15 @@ def weight_matrix(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> Weig
 
 
 def permanent_ryser(M, cap: int = PERMANENT_SIZE_CAP) -> int:
-    """Exact permanent by inclusion-exclusion over column subsets.
+    """Exact permanent: forced entries peeled, then Ryser inclusion–exclusion
+    on the core.
 
-    Small cases run vectorised in int64 (the subset-sum products are bounded
-    so overflow cannot occur); anything that could overflow falls back to a
-    Gray-code loop over Python big ints.
+    A line with one nonzero entry a_ij forces it, since by Laplace expansion
+    per(A) = a_ij * per(A without row i and column j); a zero line, or two
+    lines forcing the same column or row, make the permanent 0. What no longer
+    peels runs vectorised in int64 when its subset-sum products are bounded
+    so overflow cannot occur, and otherwise in a Gray-code loop over Python
+    big ints.
     """
     A = np.asarray(M, dtype=object)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -136,14 +140,38 @@ def permanent_ryser(M, cap: int = PERMANENT_SIZE_CAP) -> int:
     n = A.shape[0]
     if n > cap:
         raise SizeLimitError(f"permanent size {n} exceeds cap {cap}")
-    if n == 0:
-        return 1
+    forced, A = _peel_forced(A)
+    n = A.shape[0]
+    if forced == 0 or n == 0:
+        return forced
     bound = 1
     for i in range(n):
         bound *= int(sum(abs(int(x)) for x in A[i]))
     if bound << n < (1 << 62):
-        return _ryser_vectorised(np.asarray(M, dtype=np.int64))
-    return _ryser_bigint(A)
+        return forced * _ryser_vectorised(A.astype(np.int64))
+    return forced * _ryser_bigint(A)
+
+
+def _peel_forced(A: np.ndarray) -> tuple[int, np.ndarray]:
+    """Expand along rows, then columns, with one nonzero entry until none is
+    left. Returns the product of the forced entries and the core that
+    remains; the product is 0 when the permanent is."""
+    forced = 1
+    idle = 0  # consecutive passes, rows or columns, that peeled nothing
+    while A.shape[0] and idle < 2:
+        nonzero = A != 0
+        counts = nonzero.sum(axis=1)
+        if not counts.all():
+            return 0, A
+        rows = np.flatnonzero(counts == 1)
+        cols = nonzero[rows].argmax(axis=1)
+        if np.unique(cols).size < cols.size:
+            return 0, A
+        for i, j in zip(rows, cols):
+            forced *= int(A[i, j])
+        idle = 0 if rows.size else idle + 1
+        A = np.delete(np.delete(A, rows, axis=0), cols, axis=1).T
+    return forced, A
 
 
 def _ryser_vectorised(A: np.ndarray) -> int:
@@ -168,10 +196,12 @@ def _ryser_vectorised(A: np.ndarray) -> int:
 
 
 def _parity_signs(count: int) -> np.ndarray:
-    par = np.zeros(count, dtype=np.int64)
-    for i in range(1, count):
-        par[i] = par[i >> 1] ^ (i & 1)
-    return 1 - 2 * par
+    """(-1)^popcount(i) for i < count, a power of two: each doubling appends
+    the negated signs, as setting the next bit flips the parity."""
+    signs = np.ones(1, dtype=np.int64)
+    while signs.size < count:
+        signs = np.concatenate((signs, -signs))
+    return signs
 
 
 def _ryser_bigint(A: np.ndarray) -> int:

@@ -359,6 +359,20 @@ class TestCache:
             else:
                 assert not ok and row["error"].startswith(f"cached {field} "), row["error"]
 
+    @pytest.mark.parametrize("witness, reason", [
+        (999, "are not elements of a group of order 10"),
+        (1, "generate a subgroup with P = 1, not the cached tp 1/4"),  # a rotation
+    ])
+    def test_trusted_hit_checks_its_witnesses(self, tmp_path, capsys, witness, reason):
+        # expected-values alone never recomputes tp, so the planted row is
+        # checked before it is trusted
+        catalog, cache, _ = self._d5_cache(tmp_path, [{"witnesses": [[witness]]}])
+        code = cli.main(["scan", "--catalog", str(catalog), "--cache", str(cache),
+                         "--checks", "expected-values"])
+        row = json.loads(capsys.readouterr().out)["entries"][0]
+        assert code == cli.EXIT_VERIFICATION
+        assert row["error"] == f"cached witnesses [{witness}] {reason}"
+
 
 class TestCli:
     def test_tp_command(self, capsys):

@@ -55,6 +55,10 @@ def dt_count_oracle(G, H, K) -> int:
     return count
 
 
+def _refuse_ryser(*args):
+    raise AssertionError("Ryser ran on a matrix the peel should settle")
+
+
 def subgroup_of_order(G, k):
     return next(s for s in gc.all_subgroups(G) if s.order == k)
 
@@ -204,6 +208,73 @@ class TestPermanent:
         rp = rng.permutation(n)
         cp = rng.permutation(n)
         assert tv.permanent_ryser(M[rp][:, cp]) == want
+
+    def test_parity_signs_match_the_loop(self):
+        for bits in range(15):
+            par = np.zeros(1 << bits, dtype=np.int64)
+            for i in range(1, 1 << bits):
+                par[i] = par[i >> 1] ^ (i & 1)
+            got = tv._parity_signs(1 << bits)
+            assert got.dtype == np.int64 and np.array_equal(got, 1 - 2 * par)
+
+    def test_scaled_permutation_peels_without_ryser(self, monkeypatch):
+        monkeypatch.setattr(tv, "_ryser_vectorised", _refuse_ryser)
+        monkeypatch.setattr(tv, "_ryser_bigint", _refuse_ryser)
+        P = np.eye(24, dtype=np.int64)[np.random.default_rng(24).permutation(24)]
+        for k in (1, 3, -2, 10**6):
+            assert tv.permanent_ryser(k * P) == k**24
+
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(st.integers(1, 7), st.floats(0.15, 1.0), st.integers(0, 10**6),
+           st.sampled_from(["none", "zero-row", "zero-column", "shared-column"]))
+    def test_sparse_against_expansion_oracle(self, n, density, seed, plant):
+        rng = np.random.default_rng(seed)
+        M = rng.integers(-3, 6, size=(n, n)) * (rng.random((n, n)) < density)
+        if plant == "zero-row":
+            M[rng.integers(n)] = 0
+        elif plant == "zero-column":
+            M[:, rng.integers(n)] = 0
+        elif plant == "shared-column" and n > 1:  # two singleton rows, one column
+            rows = rng.choice(n, size=2, replace=False)
+            M[rows] = 0
+            M[rows, rng.integers(n)] = rng.choice([-2, 1, 4], size=2)
+        else:
+            assert tv.permanent_ryser(M) == permanent_oracle(M)
+            return
+        assert permanent_oracle(M) == 0
+        with pytest.MonkeyPatch.context() as mp:  # found by the peel, before Ryser
+            mp.setattr(tv, "_ryser_vectorised", _refuse_ryser)
+            mp.setattr(tv, "_ryser_bigint", _refuse_ryser)
+            assert tv.permanent_ryser(M) == 0
+
+    def test_split_ryser_branch_matches_bigint(self):
+        # at n = 16 the vectorised kernel splits the columns 14 + 2
+        n = 16
+        eye = np.eye(n, dtype=np.int64)
+        M = eye | np.roll(eye, 1, axis=1) | (np.random.default_rng(16).random((n, n)) < 0.1)
+        assert (np.count_nonzero(M, axis=0) >= 2).all()
+        assert (np.count_nonzero(M, axis=1) >= 2).all()
+        want = tv._ryser_bigint(M.astype(object))
+        assert want >= 2
+        assert tv._ryser_vectorised(M) == want
+        assert tv.permanent_ryser(M) == want
+
+    def test_permuted_block_diagonal_is_product_of_blocks(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        eye = np.eye(5, dtype=np.int64)
+        blocks = [eye | np.roll(eye, 1, axis=1) | (rng.random((5, 5)) < 0.4)
+                  for _ in range(3)]
+        M = np.zeros((15, 15), dtype=np.int64)
+        for b, B in enumerate(blocks):
+            M[5 * b:5 * b + 5, 5 * b:5 * b + 5] = B
+        M = M[rng.permutation(15)][:, rng.permutation(15)]
+        sizes = []
+        vectorised = tv._ryser_vectorised
+        monkeypatch.setattr(tv, "_ryser_vectorised",
+                            lambda A: sizes.append(A.shape[0]) or vectorised(A))
+        monkeypatch.setattr(tv, "_ryser_bigint", _refuse_ryser)
+        assert tv.permanent_ryser(M) == math.prod(permanent_oracle(B) for B in blocks)
+        assert sizes == [15]  # nothing peels, so the split branch ran
 
 
 class TestEnumeration:
