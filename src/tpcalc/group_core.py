@@ -7,9 +7,12 @@ Conventions, fixed once for the whole package:
 
 The tables of GroupTable and Subgroup are read-only arrays. Derived data
 (fingerprints, the subgroup lattice) is cached on first use and only ever
-replaced by an identical value. `lattice(G)` is the one place that enumerates
-the subgroups of a table, splits them into conjugacy classes and decides which
-are normal; every consumer reads that value.
+replaced by an identical value. `lattice(G)` is the one place that finds the
+subgroups of a table, splits them into conjugacy classes and decides which are
+normal; every consumer reads that value. A table built from another one by
+`subgroup_as_group` or `quotient_group` records its source, and once the
+source's lattice is built it takes its subgroups from there by the
+correspondence theorem instead of enumerating them again.
 
 The tp memo `_tp_cache` is the exception: `tp()` writes it and
 `catalog.scan_entry` plants it from the results cache. It is replaced only by
@@ -75,6 +78,9 @@ class GroupTable:
         self.provenance = provenance
         self._lattice: Lattice | None = None
         self._tp_cache = None
+        # (parent, element map, floor), set by subgroup_as_group and
+        # quotient_group for lattice() to read
+        self._source: tuple[GroupTable, np.ndarray, Subgroup] | None = None
 
     # -- basic element operations ------------------------------------------
 
@@ -293,6 +299,9 @@ def closure_of(G: GroupTable, seed: Iterable[int]) -> np.ndarray:
 
 
 def subgroup_generated(G: GroupTable, seed: Iterable[int]) -> Subgroup:
+    seed = [int(x) for x in seed]
+    if any(not 0 <= x < G.order for x in seed):
+        raise ParameterError(f"generators {seed} are not all element indices 0..{G.order - 1}")
     return Subgroup(G, tuple(int(x) for x in closure_of(G, seed)))
 
 
@@ -702,11 +711,26 @@ class Lattice:
 
 def lattice(G: GroupTable, cap: int = SUBGROUP_ORDER_CAP) -> Lattice:
     """The subgroup lattice of G, built once per table. The cap is checked on
-    every call, so a memoised lattice obeys it too."""
+    every call, so a memoised lattice obeys it too.
+
+    A table whose source parent already has its lattice takes its subgroups
+    from the parent's by the correspondence theorem: the subgroups of H are
+    those of G inside H, and the subgroups of G/N are the images of the K of
+    G that contain N, each the image of exactly one such K. Every other table
+    enumerates with `all_subgroups`."""
     if G.order > cap:
         raise SizeLimitError(f"group order {G.order} exceeds subgroup cap {cap}")
     if G._lattice is None:
-        subs = tuple(all_subgroups(G, cap))
+        if G._source is not None and G._source[0]._lattice is not None:
+            parent, image, floor = G._source
+            subs = []
+            for K in parent._lattice.subgroups:
+                mapped = image[K.elem_array]
+                if mapped.min() >= 0 and K.contains_subgroup(floor):
+                    subs.append(Subgroup(G, np.unique(mapped)))
+            subs = tuple(sorted(subs, key=lambda s: (s.order, s.elems)))
+        else:
+            subs = tuple(all_subgroups(G, cap))
         classes = subgroup_conjugacy_classes(G, subs)
         alone = {cls[0] for cls in classes if len(cls) == 1}
         G._lattice = Lattice(subs, classes, tuple(s for s in subs if s in alone))
@@ -847,6 +871,7 @@ def quotient_group(G: GroupTable, N: Subgroup) -> tuple[GroupTable, np.ndarray]:
     Q = GroupTable(mul, provenance=f"quotient({G.provenance}/N{N.order})")
     if not np.array_equal(proj[G.mul], Q.mul[proj[:, None], proj[None, :]]):
         raise VerificationError("projection is not a homomorphism")
+    Q._source = (G, proj, N)
     return Q, proj
 
 
@@ -855,8 +880,11 @@ def subgroup_as_group(G: GroupTable, H: Subgroup) -> GroupTable:
     arr = H.elem_array
     pos = np.full(G.order, -1, dtype=np.int64)
     pos[arr] = np.arange(H.order)
+    pos.setflags(write=False)
     mul = pos[G.mul[np.ix_(arr, arr)]]
-    return GroupTable(mul, provenance=f"subgroup(order={H.order} of {G.provenance})")
+    Hg = GroupTable(mul, provenance=f"subgroup(order={H.order} of {G.provenance})")
+    Hg._source = (G, pos, trivial_subgroup(G))
+    return Hg
 
 
 # ---------------------------------------------------------------------------

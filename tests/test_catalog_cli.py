@@ -394,6 +394,17 @@ class TestCli:
         assert "graph coset_intersection {" in out
         assert re.search(r"L\d+ -- R\d+ \[weight=\d+\];", out)
 
+    @pytest.mark.parametrize("command", ["pg", "graph"])
+    @pytest.mark.parametrize("flag", ["--subgroup", "--right"])
+    @pytest.mark.parametrize("element", ["-1", "999"])
+    def test_generator_index_out_of_range_is_a_usage_error(self, capsys, command,
+                                                          flag, element):
+        args = [command, "dihedral 3", "--subgroup", "3", f"{flag}={element}"]
+        assert cli.main(args) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error" in captured.err
+
     def test_group_subcommands(self, capsys, tmp_path):
         out_file = tmp_path / "d4.txt"
         assert cli.main(["group", "make", "dihedral 4", "--out", str(out_file)]) == 0

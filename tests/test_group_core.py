@@ -313,6 +313,35 @@ class TestLattice:
         with pytest.raises(SizeLimitError):
             gc.lattice(G, cap=9)
 
+    def test_derived_lattices_match_a_fresh_enumeration(self, zoo):
+        """Subgroup, quotient and section tables take their lattice from the
+        parent's; a copy of the table with no source enumerates it afresh.
+        Of about 1,100 tables only about 50 differ, so each distinct table is
+        enumerated once."""
+        fresh = {}
+
+        def check(X, label):
+            assert X._source is not None, label
+            got = gc.lattice(X)
+            key = X.mul.tobytes()
+            if key not in fresh:
+                fresh[key] = gc.lattice(gc.GroupTable(X.mul))
+            want = fresh[key]
+            assert [s.elems for s in got.subgroups] == [s.elems for s in want.subgroups], label
+            assert ([[s.elems for s in c] for c in got.classes]
+                    == [[s.elems for s in c] for c in want.classes]), label
+            assert [s.elems for s in got.normal] == [s.elems for s in want.normal], label
+
+        for name, G in zoo.items():
+            lat = gc.lattice(G)
+            for N in lat.normal:
+                check(gc.quotient_group(G, N)[0], (name, "G/N", N.elems))
+            for cls in lat.classes:
+                H = gc.subgroup_as_group(G, cls[0])
+                check(H, (name, "H", cls[0].elems))
+                for N in gc.lattice(H).normal:
+                    check(gc.quotient_group(H, N)[0], (name, "H/N", cls[0].elems, N.elems))
+
 
 class TestSubgroupBasics:
     def test_generated_empty_is_trivial(self, zoo):
@@ -325,6 +354,11 @@ class TestSubgroupBasics:
 
     def test_generated_everything(self, zoo):
         assert gc.subgroup_generated(zoo["s3"], list(range(6))).order == 6
+
+    @pytest.mark.parametrize("seed", [[-1], [1, 6], [999]])
+    def test_generated_rejects_elements_out_of_range(self, zoo, seed):
+        with pytest.raises(ParameterError):
+            gc.subgroup_generated(zoo["s3"], seed)
 
     def test_idempotent(self, zoo):
         s3 = zoo["s3"]

@@ -111,6 +111,29 @@ class TestMonotonicity:
             verdicts = te.verify_monotonicity(zoo[name], name)
             assert all(v.consistent for v in verdicts), name
 
+    def test_every_section_is_checked(self, catalog_groups):
+        verdicts = te.verify_monotonicity(catalog_groups["c2_x_d4"], "c2_x_d4")
+        sections = next(v for v in verdicts if v.theorem == "monotone-sections")
+        assert len(sections.details["sections"]) == 79
+
+    def test_reuses_the_lattice_of_g(self, zoo, catalog_groups, monkeypatch):
+        """Subgroup, quotient and section tables take their lattices from G's,
+        so no subgroup is enumerated again once tp(G) has run."""
+        calls = []
+        enumerate_all = gc.all_subgroups
+
+        def counted(G, *args, **kwargs):
+            calls.append(G)
+            return enumerate_all(G, *args, **kwargs)
+
+        groups = [zoo["s4"], zoo["d4"], zoo["a4"], catalog_groups["c2_x_d4"]]
+        for G in groups:
+            te.tp(G)
+        monkeypatch.setattr(gc, "all_subgroups", counted)
+        for G in groups:
+            te.verify_monotonicity(G)
+        assert calls == []
+
 
 class TestStructureTheorems:
     def test_sl2_3_sits_on_derived_bound(self, zoo):
