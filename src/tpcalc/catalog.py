@@ -378,7 +378,7 @@ def _extension_check(entry: CatalogEntry, G: GroupTable) -> list[TheoremVerdict]
         p, k = int(tokens[1]), int(tokens[2])
         base, top = cyclic(p), cyclic(2**k)
         verdict = semidirect_extension_check(
-            base, top, action_by_inversion(base, top), entry.id)
+            base, top, action_by_inversion(base, top), entry.id, product=G)
         return [TheoremVerdict("extension-bound", entry.id, True,
                                verdict.conclusion_holds, details=verdict.details)]
     if not tokens or tokens[0] not in ("dp", "sdp"):
@@ -389,12 +389,12 @@ def _extension_check(entry: CatalogEntry, G: GroupTable) -> list[TheoremVerdict]
     if head == "dp":
         A = parser.group_arg()
         B = parser.group_arg()
-        verdict = direct_extension_check([A, B], entry.id)
+        verdict = direct_extension_check([A, B], entry.id, product=G)
     else:
         A = parser.group_arg()
         K = parser.group_arg()
         action = parser.action_arg(A, K)
-        verdict = semidirect_extension_check(A, K, action, entry.id)
+        verdict = semidirect_extension_check(A, K, action, entry.id, product=G)
     return [TheoremVerdict("extension-bound", entry.id, verdict.hypothesis_holds,
                            verdict.conclusion_holds, details=verdict.details)]
 

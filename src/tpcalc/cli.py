@@ -56,7 +56,7 @@ def _group_from_args(args) -> GroupTable:
 
 
 def _subgroup_from_csv(G, text: str) -> Subgroup:
-    if text.strip() in ("", "1"):
+    if not text.strip():
         return subgroup_generated(G, [])
     try:
         gens = [int(tok) for tok in text.split(",")]
@@ -239,7 +239,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_pg = sub.add_parser("pg", help="probability for a subgroup pair")
     add_group_source(p_pg)
     p_pg.add_argument("--subgroup", required=True,
-                      help="comma-separated generator indices for H")
+                      help="comma-separated generator indices for H "
+                           "(empty or 0: the trivial subgroup)")
     p_pg.add_argument("--right", help="generator indices for K (default: H)")
     p_pg.add_argument("--bounds", action="store_true", help="print the bounds report")
     p_pg.set_defaults(func=cmd_pg)

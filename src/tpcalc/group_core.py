@@ -182,26 +182,30 @@ def _check_associativity(mul: np.ndarray, gens: Sequence[int]) -> None:
 
 
 def _grow(mul: np.ndarray, reached: np.ndarray, frontier: np.ndarray,
-          gens: Sequence[int]) -> None:
-    """Breadth-first search along right multiplication by `gens`.
+          gens: np.ndarray) -> None:
+    """Breadth-first search along right multiplication, many searches at once.
 
-    Marks in the boolean mask `reached` every x*w with x in `frontier` and w
-    a word in `gens`. Elements already marked must have their products by
-    `gens` marked or in `frontier`. From the identity this reaches the
-    subgroup that `gens` generate; from a subgroup R with frontier R*g it
-    reaches <R, g> when `gens` generate R together with g.
+    Row i of the `(rows, n)` boolean mask `reached` is one search: it gets
+    marked with every x*w for x in row i of the `(rows, m)` index array
+    `frontier` and w a word in row i of the `(rows, k)` generator array
+    `gens`. Elements already marked in a row must have their products by that
+    row's generators marked or in its frontier. From the identity a row
+    reaches the subgroup its generators generate; from a subgroup R with
+    frontier R*g it reaches <R, g> when its generators generate R together
+    with g. An identity (0) generator is harmless, so rows with fewer
+    generators may be padded with 0. Each level of the search is one
+    fancy-index step over every row.
     """
-    gens = np.asarray(gens, dtype=np.intp)
-    new = np.zeros(reached.size, dtype=bool)
-    new[frontier] = True
+    new = np.zeros_like(reached)
+    new[np.arange(reached.shape[0])[:, None], frontier] = True
     while True:
         new &= ~reached
-        fresh = new.nonzero()[0]
-        if not fresh.size:
+        rows, fresh = new.nonzero()
+        if not rows.size:
             return
         reached |= new
         new.fill(False)
-        new[mul[fresh[:, None], gens]] = True
+        new[rows[:, None], mul[fresh[:, None], gens[rows]]] = True
 
 
 def _greedy_chain(mul: np.ndarray, elems: Iterable[int]) -> tuple[tuple[int, ...],
@@ -209,15 +213,16 @@ def _greedy_chain(mul: np.ndarray, elems: Iterable[int]) -> tuple[tuple[int, ...
     """Greedy generating sequence of the subgroup with ascending elements
     `elems`: repeatedly adjoin the least element not yet reached. Also returns
     the order reached after each step."""
-    reached = np.zeros(mul.shape[0], dtype=bool)
-    reached[0] = True
+    reached = np.zeros((1, mul.shape[0]), dtype=bool)
+    reached[0, 0] = True
     gens: list[int] = []
     sizes: list[int] = []
     for x in elems:
-        if reached[x]:
+        if reached[0, x]:
             continue
         gens.append(x)
-        _grow(mul, reached, mul[np.flatnonzero(reached), x], gens)
+        _grow(mul, reached, mul[np.flatnonzero(reached[0]), x][None, :],
+              np.array([gens], dtype=np.intp))
         sizes.append(int(np.count_nonzero(reached)))
     return tuple(gens), tuple(sizes)
 
@@ -232,20 +237,26 @@ class Subgroup:
 
     parent: GroupTable = field(repr=False)
     elems: tuple[int, ...]
+    # built by the closure check in __post_init__; read-only
+    mask: np.ndarray = field(init=False, repr=False, compare=False)
+    elem_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        elems = tuple(int(e) for e in self.elems)
+        elems = tuple(map(int, self.elems))
         object.__setattr__(self, "elems", elems)
         if not elems or elems[0] != 0 or list(elems) != sorted(set(elems)):
             raise ParameterError("subgroup elements must be sorted, unique, and contain 0")
         arr = np.array(elems, dtype=np.int64)
-        sub = self.parent.mul[np.ix_(arr, arr)]
         mask = np.zeros(self.parent.order, dtype=bool)
         mask[arr] = True
-        if not mask[sub].all():
+        if not mask[self.parent.mul[arr[:, None], arr]].all():
             raise ParameterError("element set is not closed under multiplication")
         if self.parent.order % len(elems) != 0:
             raise ParameterError("subgroup order does not divide the group order")
+        mask.setflags(write=False)
+        arr.setflags(write=False)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "elem_array", arr)
 
     @property
     def order(self) -> int:
@@ -254,19 +265,6 @@ class Subgroup:
     @property
     def index(self) -> int:
         return self.parent.order // len(self.elems)
-
-    @cached_property
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.parent.order, dtype=bool)
-        m[list(self.elems)] = True
-        m.setflags(write=False)
-        return m
-
-    @cached_property
-    def elem_array(self) -> np.ndarray:
-        a = np.array(self.elems, dtype=np.int64)
-        a.setflags(write=False)
-        return a
 
     def __contains__(self, x: int) -> bool:
         return bool(self.mask[x])
@@ -293,9 +291,10 @@ def conjugates(G: GroupTable, elems, gs=None) -> np.ndarray:
 
 def closure_of(G: GroupTable, seed: Iterable[int]) -> np.ndarray:
     """Sorted element array of the subgroup generated by `seed` (plus identity)."""
-    reached = np.zeros(G.order, dtype=bool)
-    _grow(G.mul, reached, np.zeros(1, dtype=np.intp), sorted(set(seed)))
-    return np.flatnonzero(reached)
+    reached = np.zeros((1, G.order), dtype=bool)
+    _grow(G.mul, reached, np.zeros((1, 1), dtype=np.intp),
+          np.array([sorted(set(seed))], dtype=np.intp))
+    return np.flatnonzero(reached[0])
 
 
 def subgroup_generated(G: GroupTable, seed: Iterable[int]) -> Subgroup:
@@ -668,35 +667,45 @@ def all_subgroups(G: GroupTable, cap: int = SUBGROUP_ORDER_CAP) -> list[Subgroup
     """The complete subgroup list, sorted by (order, element tuple).
 
     Closure algorithm: seed with every cyclic subgroup, then repeatedly extend
-    each known subgroup H by one representative of each (H,H)-double coset and
-    close, until no new subgroup appears. Adjoining x and adjoining any h1*x*h2
-    generate the same subgroup, so double-coset representatives suffice. Each
-    extension grows <H, r> from H's elements with generators gens(H) + (r,).
+    each known subgroup H by one representative r of each (H,H)-double coset
+    outside H, until no new subgroup appears. Adjoining x and adjoining any
+    h1*x*h2 generate the same subgroup, so double-coset representatives
+    suffice. The trivial subgroup is not extended: its extensions are the
+    cyclic seeds.
+
+    All extensions of one H grow in one batched search: row r of an
+    `(reps, n)` mask starts from H's elements with frontier H*r and
+    generators gens(H) + (r,), and ends as the mask of <H, r>. The finished
+    rows are told apart by their packed bytes, and only a row not seen before
+    becomes a `Subgroup` (which checks closure) and joins the work list.
     """
     if G.order > cap:
         raise SizeLimitError(f"group order {G.order} exceeds subgroup cap {cap}")
-    found: dict[tuple[int, ...], Subgroup] = {}
-    gens_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+    found: dict[bytes, Subgroup] = {}  # keyed by the packed mask
+    work: list[tuple[Subgroup, np.ndarray]] = []
     for x in range(G.order):
-        key = tuple(closure_of(G, [x]).tolist())
+        mask = np.zeros(G.order, dtype=bool)
+        mask[closure_of(G, [x])] = True
+        key = np.packbits(mask).tobytes()
         if key not in found:
-            found[key] = Subgroup(G, key)
-            gens_of[key] = (x,)
-    work = list(found.values())
+            found[key] = Subgroup(G, tuple(np.flatnonzero(mask).tolist()))
+            if x:  # x = 0 gives the trivial subgroup
+                work.append((found[key], np.array([x], dtype=np.intp)))
     while work:
-        H = work.pop()
-        for r in double_cosets(G, H, H).reps:
-            if H.mask[r]:
-                continue
-            gens = gens_of[H.elems] + (r,)
-            reached = H.mask.copy()
-            _grow(G.mul, reached, G.mul[H.elem_array, r], gens)
-            key = tuple(reached.nonzero()[0].tolist())
+        H, gens = work.pop()
+        reps = np.asarray(double_cosets(G, H, H).reps, dtype=np.intp)
+        reps = reps[~H.mask[reps]]
+        row_gens = np.empty((reps.size, gens.size + 1), dtype=np.intp)
+        row_gens[:, :-1] = gens
+        row_gens[:, -1] = reps
+        reached = np.repeat(H.mask[None, :], reps.size, axis=0)
+        _grow(G.mul, reached, G.mul[H.elem_array[None, :], reps[:, None]], row_gens)
+        packed = np.packbits(reached, axis=1)
+        for i, key in enumerate(packed.view(f"V{packed.shape[1]}").ravel().tolist()):
             if key not in found:
-                sub = Subgroup(G, key)
-                found[key] = sub
-                gens_of[key] = gens
-                work.append(sub)
+                found[key] = Subgroup(G, tuple(np.flatnonzero(reached[i]).tolist()))
+                work.append((found[key], row_gens[i].copy()))
+        del reached, row_gens, packed
     return sorted(found.values(), key=lambda s: (s.order, s.elems))
 
 
@@ -776,14 +785,13 @@ def double_cosets(G: GroupTable, H: Subgroup, K: Subgroup) -> DoubleCosets:
     KgH is the union of the left cosets kgH, so its least element is the least
     left-coset representative met by the elements kg.
     """
-    left = cosets(G, H, "left")
-    least_in_left = np.asarray(left.reps)[left.ids]
+    least_in_left = G.mul[:, H.elem_array].min(axis=1)  # row g: least of gH
     least = least_in_left[G.mul[K.elem_array, :]].min(axis=0)
     reps = np.unique(least)
     block_of = np.searchsorted(reps, least)
     block_of.setflags(write=False)
     sizes = np.bincount(block_of)
-    return DoubleCosets(tuple(int(r) for r in reps), tuple(int(z) for z in sizes), block_of)
+    return DoubleCosets(tuple(reps.tolist()), tuple(sizes.tolist()), block_of)
 
 
 @dataclass(frozen=True)

@@ -402,12 +402,26 @@ def _as_prime_pair_ratio(value: Fraction) -> tuple[int, int] | None:
 # Extension bounds
 # ---------------------------------------------------------------------------
 
+def _as_product(ghat: GroupTable, product: GroupTable | None,
+                group_id: str) -> GroupTable:
+    """The group whose tp the check takes: `product`, once it is shown to
+    have the rebuilt table `ghat`, so that its memo serves; else `ghat`."""
+    if product is None:
+        return ghat
+    if not np.array_equal(ghat.mul, product.mul):
+        raise VerificationError(
+            f"{group_id}: the product rebuilt from its factors is not the group's table")
+    return product
+
+
 def semidirect_extension_check(G: GroupTable, K: GroupTable,
                                action: Sequence[Sequence[int]],
-                               group_id: str = "") -> TheoremVerdict:
+                               group_id: str = "",
+                               product: GroupTable | None = None) -> TheoremVerdict:
     """tp of the split extension is at most the minimum over subgroups of G of
-    the product over K of P(G; H, H-image-under-k)."""
-    ghat = semidirect_product(G, K, action)
+    the product over K of P(G; H, H-image-under-k). A given `product` must
+    have the split extension's table, and its tp is the one taken."""
+    ghat = _as_product(semidirect_product(G, K, action), product, group_id)
     acts = [np.asarray(a, dtype=np.int64) for a in action]
     bound = None
     for H in all_subgroups(G):
@@ -424,10 +438,12 @@ def semidirect_extension_check(G: GroupTable, K: GroupTable,
         details={"tp": str(tp_hat), "bound": str(bound), "equality": tp_hat == bound})
 
 
-def direct_extension_check(factors: Sequence[GroupTable],
-                           group_id: str = "") -> TheoremVerdict:
-    """tp of a direct product is at most min over factors of tp(F)^(|G|/|F|)."""
-    ghat = reduce(direct_product, factors)
+def direct_extension_check(factors: Sequence[GroupTable], group_id: str = "",
+                           product: GroupTable | None = None) -> TheoremVerdict:
+    """tp of a direct product is at most min over factors of tp(F)^(|G|/|F|).
+    A given `product` must have the direct product's table, and its tp is the
+    one taken."""
+    ghat = _as_product(reduce(direct_product, factors), product, group_id)
     m = ghat.order
     bound = min(tp(F).tp ** (m // F.order) for F in factors)
     tp_hat = tp(ghat).tp

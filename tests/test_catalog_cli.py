@@ -374,6 +374,34 @@ class TestCache:
         assert row["error"] == f"cached witnesses [{witness}] {reason}"
 
 
+class TestExtensionBound:
+    def test_enumerates_only_the_factor_tables(self, catalog_entries, catalog_groups,
+                                               catalog_tp, monkeypatch):
+        """The product's tp comes from the entry's own table, whose lattice is
+        built already, so only the rebuilt factors are enumerated."""
+        calls = []
+        enumerate_all = gc.all_subgroups
+
+        def counted(G, *args, **kwargs):
+            calls.append(G)
+            return enumerate_all(G, *args, **kwargs)
+
+        monkeypatch.setattr(gc, "all_subgroups", counted)
+        monkeypatch.setattr(te, "all_subgroups", counted)
+        checked = 0
+        for entry in catalog_entries:
+            if entry.builder.split()[0] not in ("dp", "sdp", "cpc2"):
+                continue
+            G = catalog_groups[entry.id]
+            calls.clear()
+            (verdict,) = cat.CHECKS["extension-bound"](entry, G)
+            assert verdict.hypothesis_holds and verdict.conclusion_holds, entry.id
+            assert calls, entry.id
+            assert all(X is not G and X.order < G.order for X in calls), entry.id
+            checked += 1
+        assert checked == 19
+
+
 class TestCli:
     def test_tp_command(self, capsys):
         code = cli.main(["tp", "dihedral 4"])
@@ -404,6 +432,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "usage error" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--subgroup", "--right"])
+    def test_generator_1_names_the_subgroup_it_generates(self, capsys, flag):
+        """`1` is element 1, so on dihedral 3 it generates the rotations, as
+        `1,1` does; only the empty list and `0` name the trivial subgroup."""
+        def pg(*args):
+            assert cli.main(["pg", "dihedral 3", "--subgroup", "1,1", *args]) == 0
+            return capsys.readouterr().out
+
+        rotations = pg("--subgroup=1,1")
+        assert "t-vector (1, 1)" in rotations
+        assert pg(f"{flag}=1") == rotations
+        trivial = pg("--subgroup=", "--right=0")
+        assert "t-vector (1, 1, 1, 1, 1, 1)" in trivial
+        assert pg("--subgroup=0", "--right=0") == trivial
 
     def test_group_subcommands(self, capsys, tmp_path):
         out_file = tmp_path / "d4.txt"

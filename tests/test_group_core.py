@@ -53,6 +53,30 @@ def reference_greedy(G: gc.GroupTable, elems) -> tuple[tuple[int, ...], tuple[in
     return tuple(gens), tuple(sizes)
 
 
+def one_at_a_time_subgroups(G: gc.GroupTable) -> list[tuple[int, ...]]:
+    """Reference enumerator: every cyclic subgroup, then each subgroup found
+    (the trivial one too) extended by one (H,H)-double-coset representative
+    at a time, each extension closed afresh from the identity."""
+    found = {tuple(gc.closure_of(G, [x]).tolist()) for x in range(G.order)}
+    work = list(found)
+    while work:
+        H = gc.Subgroup(G, work.pop())
+        for r in gc.double_cosets(G, H, H).reps:
+            key = tuple(gc.closure_of(G, list(H.elems) + [r]).tolist())
+            if key not in found:
+                found.add(key)
+                work.append(key)
+    return sorted(found, key=lambda elems: (len(elems), elems))
+
+
+def relabelled(G: gc.GroupTable, seed: int) -> gc.GroupTable:
+    """A fresh table isomorphic to G, its non-identity elements permuted."""
+    perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(G.order - 1)])
+    mul = np.empty_like(G.mul)
+    mul[np.ix_(perm, perm)] = perm[G.mul]
+    return gc.GroupTable(mul)
+
+
 def gaussian_binomial(r: int, k: int, p: int) -> int:
     """The number of k-dimensional subspaces of GF(p)^r."""
     num = den = 1
@@ -261,6 +285,47 @@ class TestSubgroupEnumeration:
         seed = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
         got = gc.closure_of(G, seed)
         assert got.tolist() == reference_closure(G, seed).tolist(), (name, seed)
+
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(data=st.data())
+    def test_batched_grow_is_closure_row_by_row(self, zoo, data):
+        """Rows with generator lists of differing lengths, padded with the
+        identity, each reach what `closure_of` reaches on their own list."""
+        name = data.draw(st.sampled_from(sorted(zoo)))
+        G = zoo[name]
+        seeds = data.draw(st.lists(st.lists(st.integers(0, G.order - 1), max_size=4),
+                                   min_size=1, max_size=6))
+        gens = np.zeros((len(seeds), max(map(len, seeds))), dtype=np.intp)
+        for row, seed in zip(gens, seeds):
+            row[:len(seed)] = seed
+        reached = np.zeros((len(seeds), G.order), dtype=bool)
+        gc._grow(G.mul, reached, np.zeros((len(seeds), 1), dtype=np.intp), gens)
+        for row, seed in zip(reached, seeds):
+            assert np.flatnonzero(row).tolist() == gc.closure_of(G, seed).tolist(), (name, seed)
+
+    def test_batched_grow_extends_a_subgroup_row_by_row(self, zoo):
+        """From a subgroup H with frontier H*r, row r reaches <H, r>."""
+        for name in ("s4", "sl2_3", "c3sq_c4"):
+            G = zoo[name]
+            for H in gc.all_subgroups(G):
+                gens = H.generators()
+                reps = np.arange(G.order)
+                reached = np.repeat(H.mask[None, :], G.order, axis=0)
+                row_gens = np.array([gens + (r,) for r in reps], dtype=np.intp)
+                gc._grow(G.mul, reached, G.mul[H.elem_array[None, :], reps[:, None]], row_gens)
+                for r in reps:
+                    want = gc.closure_of(G, list(H.elems) + [int(r)])
+                    assert np.flatnonzero(reached[r]).tolist() == want.tolist(), (name, H, r)
+
+    def test_matches_the_one_at_a_time_enumerator(self, zoo):
+        s5 = gc.from_permutation_generators(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+        tables = {**zoo, "psl3_2": relabelled(presets.psl3_2(), 1), "s5": relabelled(s5, 2)}
+        counts = {}
+        for name, G in tables.items():
+            got = [s.elems for s in gc.all_subgroups(G)]
+            assert got == one_at_a_time_subgroups(G), name
+            counts[name] = len(got)
+        assert (counts["psl3_2"], counts["s5"]) == (179, 156)
 
     @pytest.mark.parametrize("p, r, want", [(2, 4, 67), (3, 3, 28), (5, 2, 8), (2, 6, 2825)])
     def test_elementary_abelian_counts(self, p, r, want):

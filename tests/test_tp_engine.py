@@ -5,7 +5,7 @@ import pytest
 from tpcalc import group_core as gc
 from tpcalc import presets
 from tpcalc import tp_engine as te
-from tpcalc.errors import SizeLimitError
+from tpcalc.errors import SizeLimitError, VerificationError
 from tpcalc.transversal import p_g
 
 
@@ -300,6 +300,29 @@ class TestExtensions:
         verdict = te.semidirect_extension_check(base, top, action, "c3_c4")
         assert verdict.conclusion_holds
         assert Fraction(verdict.details["tp"]) == Fraction(1, 2)
+
+
+    def test_given_product_gives_the_same_verdict(self):
+        factors = [gc.dihedral(3), gc.cyclic(5)]
+        product = gc.direct_product(*factors)
+        got = te.direct_extension_check(factors, "s3xc5", product=product)
+        assert got == te.direct_extension_check(factors, "s3xc5")
+        assert product._tp_cache is not None  # tp was taken on the given table
+        base, top = gc.cyclic(3), gc.cyclic(4)
+        action = gc.action_by_inversion(base, top)
+        product = gc.semidirect_product(base, top, action)
+        got = te.semidirect_extension_check(base, top, action, "c3_c4", product=product)
+        assert got == te.semidirect_extension_check(base, top, action, "c3_c4")
+        assert product._tp_cache is not None
+
+    def test_product_with_another_table_is_refused(self):
+        with pytest.raises(VerificationError, match="s3xc5"):
+            te.direct_extension_check([gc.dihedral(3), gc.cyclic(5)], "s3xc5",
+                                      product=gc.cyclic(30))
+        base, top = gc.cyclic(3), gc.cyclic(4)
+        with pytest.raises(VerificationError, match="c3_c4"):
+            te.semidirect_extension_check(base, top, gc.action_by_inversion(base, top),
+                                          "c3_c4", product=gc.cyclic(12))
 
 
 class TestExploratory:
