@@ -1,9 +1,8 @@
-"""Exact arithmetic support: factorial ratios, p-adic valuations, majorisation,
-and a self-contained log-gamma.
+"""Exact arithmetic support: factorial ratios, p-adic valuations and
+majorisation.
 
 Everything that feeds a theorem gate is computed with `fractions.Fraction`;
 floats appear only in the gamma-function bound and carry a stated tolerance.
-All functions here are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -257,47 +256,14 @@ def schur_strict_check(x: RealVector, y: RealVector, rel_tol: float = 1e-9) -> S
 
 
 # ---------------------------------------------------------------------------
-# log Gamma via Stirling, and the Jensen bound f(n/s)^s
+# log f and the Jensen bound f(n/s)^s
 # ---------------------------------------------------------------------------
-
-# Bernoulli-number coefficients B_{2k} / (2k (2k-1)) of the Stirling series.
-_STIRLING = (
-    1 / 12.0,
-    -1 / 360.0,
-    1 / 1260.0,
-    -1 / 1680.0,
-    1 / 1188.0,
-    -691 / 360360.0,
-    1 / 156.0,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0 by the Stirling series, shifting to x >= 10.
-
-    Targets <= 1e-12 relative error; no dependency on math.lgamma.
-    """
-    if x <= 0:
-        raise ParameterError("log_gamma needs x > 0")
-    shift = 0.0
-    while x < 10.0:
-        shift -= math.log(x)
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    series = 0.0
-    power = 1.0 / x
-    for coeff in _STIRLING:
-        series += coeff * power
-        power *= inv2
-    return shift + (x - 0.5) * math.log(x) - x + _HALF_LOG_TWO_PI + series
-
 
 def log_f(x: float) -> float:
     """log of f(x) = Gamma(x+1)/x^x for x > 0."""
     if x <= 0:
         raise ParameterError("log_f needs x > 0")
-    return log_gamma(x + 1.0) - x * math.log(x)
+    return math.lgamma(x + 1.0) - x * math.log(x)
 
 
 def jensen_power_bound(n: int, s: int) -> float:

@@ -9,20 +9,17 @@ Builder expressions are a tiny prefix grammar, one entry per catalog line as
     dp (dihedral 3) (cyclic 5)
     perm 8 gens.txt
 
-Scans process entries concurrently up to a --jobs limit and reduce to a report
-ordered by entry id, so two runs on the same catalog are byte-identical apart
-from the millis fields.
+A scan runs the entries one after another in id order, so two runs on the
+same catalog are byte-identical apart from the millis fields.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -44,11 +41,10 @@ from .group_core import (
     read_cayley_table,
     read_permutation_generators,
     semidirect_product,
-    subgroup_generated,
     action_by_inversion,
     action_by_generator_power,
 )
-from .transversal import bounds_report, p_g
+from .transversal import bounds_report
 from .tp_engine import (
     TheoremVerdict,
     TpResult,
@@ -539,14 +535,17 @@ def scan_entry(entry: CatalogEntry, checks: Sequence[str], cap_order: int,
         return row
     cached = cache.get(cat_hash, entry.id) if cache is not None else None
     try:
-        if cached is not None and G._tp_cache is None:
-            _check_cached_witnesses(G, cached)
-            G._tp_cache = dataclasses.replace(cached, group_id="")
         result = tp(G, entry.id)
         row["tp"] = rational_json(result.tp)
         row["witnesses"] = [list(w) for w in result.witnesses]
         row["subgroup_count"] = result.subgroup_count
         row["cache_hit"] = cached is not None
+        # a cached row is a cross-check of the recomputed one, never a substitute
+        for name in ("tp", "witnesses", "subgroup_count"):
+            if cached is not None and getattr(cached, name) != getattr(result, name):
+                raise VerificationError(
+                    f"cached {name} {getattr(cached, name)} disagrees with "
+                    f"recomputed {getattr(result, name)}")
         # A family check (structure, classification) decides all of its
         # theorems in one run; a later check of the same family reuses them.
         decided: dict[str, TheoremVerdict] = {}
@@ -574,25 +573,6 @@ def scan_entry(entry: CatalogEntry, checks: Sequence[str], cap_order: int,
     return row
 
 
-def _check_cached_witnesses(G: GroupTable, cached: TpResult) -> None:
-    """A cached row is planted only if its witnesses attain its tp: there is
-    at least one (tp lists the trivial subgroup when every subgroup is
-    normal), and each lies in G and generates a subgroup with P = tp. A scan
-    that asks only for tp never recomputes the row, so this is what it checks
-    instead."""
-    if not cached.witnesses:
-        raise VerificationError(f"cached witnesses [] name no subgroup for tp {cached.tp}")
-    for w in cached.witnesses:
-        if not all(0 <= x < G.order for x in w):
-            raise VerificationError(
-                f"cached witnesses {list(w)} are not elements of a group of order {G.order}")
-        value = p_g(G, subgroup_generated(G, w))
-        if value != cached.tp:
-            raise VerificationError(
-                f"cached witnesses {list(w)} generate a subgroup with P = {value}, "
-                f"not the cached tp {cached.tp}")
-
-
 def _millis(started: float) -> int:
     return int((time.perf_counter() - started) * 1000)
 
@@ -601,17 +581,14 @@ def scan_and_report(entries: Sequence[CatalogEntry], checks: Sequence[str] | Non
                     out: Path | str | None = None, cap_order: int = DEFAULT_ORDER_CAP,
                     jobs: int = 1, cache: ResultsCache | None = None,
                     fmt: str = "json") -> tuple[dict, bool]:
-    """Run the requested checks over the catalog; returns (report, ok)."""
+    """Run the requested checks over the catalog; returns (report, ok).
+    `jobs` must be 1: entries run one after another."""
+    if jobs != 1:
+        raise ParameterError(f"jobs must be 1, got {jobs}")
     check_names = resolve_checks(checks)
     cat_hash = catalog_hash(entries)
     ordered = sorted(entries, key=lambda e: e.id)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(
-                lambda e: scan_entry(e, check_names, cap_order, cache, cat_hash),
-                ordered))
-    else:
-        rows = [scan_entry(e, check_names, cap_order, cache, cat_hash) for e in ordered]
+    rows = [scan_entry(e, check_names, cap_order, cache, cat_hash) for e in ordered]
     ok = all(r.get("consistent", True) and "error" not in r for r in rows)
     report = {
         "toolchain": {"python": sys.version.split()[0], "tpcalc": __version__},

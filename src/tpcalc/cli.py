@@ -73,7 +73,7 @@ def cmd_group(args) -> int:
         print(f"order {G.order}  provenance {G.provenance}")
         return EXIT_OK
     if args.action == "show":
-        rep = classify_structure(G)
+        rep = classify_structure(G, cap=args.cap_order)
         print(f"order {G.order}  provenance {G.provenance}")
         print(f"abelian {rep.is_abelian}  dedekind {rep.is_dedekind}  "
               f"nilpotent {rep.is_nilpotent}  supersoluble {rep.is_supersoluble}  "
@@ -157,8 +157,7 @@ def cmd_verify(args) -> int:
     entries = catalog_build(args.catalog)
     checks = resolve_checks([args.theorem])
     report, ok = scan_and_report(entries, checks=checks, out=args.report,
-                                 cap_order=args.cap_order, jobs=args.jobs,
-                                 fmt=args.format)
+                                 cap_order=args.cap_order, fmt=args.format)
     for row in report["entries"]:
         status = "skip" if "skipped" in row else ("ok" if row.get("consistent", True) else "FAIL")
         print(f"{row['group']:>14}  {status}")
@@ -176,8 +175,7 @@ def cmd_scan(args) -> int:
                   file=sys.stderr)
     checks = resolve_checks(args.checks.split(",") if args.checks else None)
     report, ok = scan_and_report(entries, checks=checks, out=args.report,
-                                 cap_order=args.cap_order, jobs=args.jobs,
-                                 cache=cache, fmt=args.format)
+                                 cap_order=args.cap_order, cache=cache, fmt=args.format)
     if args.report is None:
         if args.format == "csv":
             print(report_to_csv(report), end="")
@@ -228,11 +226,11 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("group", nargs="?", default=None,
                        help="builder expression, e.g. 'dihedral 4'")
         p.add_argument("--table", help="read the group from a Cayley-table file")
-        p.add_argument("--cap-order", type=int, default=256)
 
     p_group = sub.add_parser("group", help="construct and inspect groups")
     p_group.add_argument("action", choices=["make", "show", "subgroups"])
     add_group_source(p_group)
+    p_group.add_argument("--cap-order", type=int, default=256)
     p_group.add_argument("--out", help="write the Cayley table to this file")
     p_group.set_defaults(func=cmd_group)
 
@@ -247,6 +245,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_tp = sub.add_parser("tp", help="minimum probability over all subgroups")
     add_group_source(p_tp)
+    p_tp.add_argument("--cap-order", type=int, default=256)
     p_tp.set_defaults(func=cmd_tp)
 
     p_gr = sub.add_parser("graph", help="coset intersection graph")
@@ -260,7 +259,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("theorem", choices=sorted(CHECKS) + ["all"])
     p_ver.add_argument("--catalog", default=None, help="catalog file (default builtin)")
     p_ver.add_argument("--cap-order", type=int, default=256)
-    p_ver.add_argument("--jobs", type=int, default=1)
     p_ver.add_argument("--report", default=None)
     p_ver.add_argument("--format", choices=["json", "csv"], default="json")
     p_ver.set_defaults(func=cmd_verify)
@@ -270,7 +268,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--checks", default=None,
                         help="comma-separated check names (default: all standard)")
     p_scan.add_argument("--cap-order", type=int, default=256)
-    p_scan.add_argument("--jobs", type=int, default=1)
     p_scan.add_argument("--report", default=None)
     p_scan.add_argument("--format", choices=["json", "csv"], default="json")
     p_scan.add_argument("--no-cache", action="store_true")

@@ -3,8 +3,7 @@ of K, its components, weights, and the component-count bounds.
 
 The components are the (K,H)-double cosets: the blocks come from
 `double_cosets` and are checked against the intersection matrix before a graph
-is returned. Construction is a pure function of (G, H, K); distinct pairs may
-be processed concurrently.
+is returned. Construction is a pure function of (G, H, K).
 """
 
 from __future__ import annotations

@@ -6,18 +6,14 @@ Conventions, fixed once for the whole package:
   * the canonical key of a subgroup is its sorted element tuple.
 
 The tables of GroupTable and Subgroup are read-only arrays. Derived data
-(fingerprints, the subgroup lattice) is cached on first use and only ever
-replaced by an identical value. `lattice(G)` is the one place that finds the
-subgroups of a table, splits them into conjugacy classes and decides which are
-normal; every consumer reads that value. A table built from another one by
-`subgroup_as_group` or `quotient_group` records its source, and once the
-source's lattice is built it takes its subgroups from there by the
-correspondence theorem instead of enumerating them again.
-
-The tp memo `_tp_cache` is the exception: `tp()` writes it and
-`catalog.scan_entry` plants it from the results cache. It is replaced only by
-a recomputed result with the same tp, witnesses and subgroup count (which may
-add the per-class table); `tp()` raises VerificationError otherwise.
+(fingerprints, the subgroup lattice, the tp memo that only `tp_engine.tp`
+writes) is cached on first use and only ever replaced by an identical value.
+`lattice(G)` is the one place that finds the subgroups of a table, splits them
+into conjugacy classes and decides which are normal; every consumer reads
+that value. A table built from another one by `subgroup_as_group` or
+`quotient_group` records its source, and once the source's lattice is built
+it takes its subgroups from there by the correspondence theorem instead of
+enumerating them again.
 """
 
 from __future__ import annotations

@@ -81,25 +81,15 @@ class TheoremVerdict:
                            (not self.hypothesis_holds) or self.conclusion_holds)
 
 
-def tp(G: GroupTable, group_id: str = "", keep_table: bool = False,
-       cap: int = SUBGROUP_ORDER_CAP) -> TpResult:
+def tp(G: GroupTable, group_id: str = "", cap: int = SUBGROUP_ORDER_CAP) -> TpResult:
     """Exact minimum of P over all subgroups, with the attaining conjugacy
-    class representatives listed by canonical generators."""
+    class representatives listed by canonical generators and the per-class
+    table. The result is memoised on G; this is the memo's one writer."""
     if G.order > cap:  # before the memo, so a cached value obeys the cap too
         raise SizeLimitError(f"group order {G.order} exceeds subgroup cap {cap}")
-    if G._tp_cache is None or (keep_table and G._tp_cache.table is None):
-        fresh = _compute_tp(G, cap)
-        planted = G._tp_cache
-        if planted is not None:  # a planted (file-cached) row must match recomputation
-            for name in ("tp", "witnesses", "subgroup_count"):
-                if getattr(planted, name) != getattr(fresh, name):
-                    raise VerificationError(
-                        f"cached {name} {getattr(planted, name)} disagrees with "
-                        f"recomputed {getattr(fresh, name)}")
-        G._tp_cache = fresh
+    if G._tp_cache is None:
+        G._tp_cache = _compute_tp(G, cap)
     result = G._tp_cache
-    if not keep_table:
-        result = dataclasses.replace(result, table=None)
     if group_id:
         result = dataclasses.replace(result, group_id=group_id)
     return result
@@ -278,7 +268,7 @@ def classify_special_values(G: GroupTable, group_id: str = "") -> list[TheoremVe
     """Exact-value gates: the 1/2 and 1/4 classifications, the excluded
     product-of-two-primes values, and the placement constraints on subgroups
     whose P is a prime ratio or a product of two."""
-    result = tp(G, keep_table=True)
+    result = tp(G)
     tp_g = result.tp
     verdicts = []
 
@@ -311,7 +301,7 @@ def classify_special_values(G: GroupTable, group_id: str = "") -> list[TheoremVe
     place_ok = True
     pair_hits = []
     pair_ok = True
-    for rec in result.table or ():
+    for rec in result.table:
         if rec.is_normal:
             continue
         sub = rec.subgroup
@@ -492,9 +482,9 @@ def explore_tp_vs_commuting(G: GroupTable, group_id: str = "") -> TheoremVerdict
 def explore_cyclic_witness(G: GroupTable, group_id: str = "") -> TheoremVerdict:
     """Conjecture scan: is the minimum attained by a cyclic prime-power
     subgroup H with (H : core) <= p? Informative only."""
-    result = tp(G, keep_table=True)
+    result = tp(G)
     found = False
-    for rec in result.table or ():
+    for rec in result.table:
         if rec.p != result.tp:
             continue
         sub = rec.subgroup

@@ -3,8 +3,7 @@ with three independent computation routes (component sizes, matrix permanent,
 brute-force enumeration) and the bound suite.
 
 All probabilities are exact `Fraction`s; the only floats are in the
-gamma-function bound, with a stated relative tolerance. Everything here is
-pure and safe for concurrent use; the factorial-ratio cache is shared.
+gamma-function bound, with a stated relative tolerance.
 """
 
 from __future__ import annotations

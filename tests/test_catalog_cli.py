@@ -144,12 +144,9 @@ class TestScan:
         assert strip((tmp_path / "r1.json").read_text()) \
             == strip((tmp_path / "r2.json").read_text())
 
-    def test_jobs_parallel_same_output(self, small_catalog, tmp_path):
-        cat.scan_and_report(small_catalog, out=tmp_path / "seq.json", jobs=1)
-        cat.scan_and_report(small_catalog, out=tmp_path / "par.json", jobs=3)
-        strip = lambda s: re.sub(r'"millis": \d+', '"millis": 0', s)
-        assert strip((tmp_path / "seq.json").read_text()) \
-            == strip((tmp_path / "par.json").read_text())
+    def test_entries_run_one_at_a_time(self, small_catalog):
+        with pytest.raises(ParameterError):
+            cat.scan_and_report(small_catalog, jobs=2)
 
     def test_cap_skips_large_entries(self, small_catalog):
         report, ok = cat.scan_and_report(small_catalog, cap_order=10)
@@ -359,19 +356,35 @@ class TestCache:
             else:
                 assert not ok and row["error"].startswith(f"cached {field} "), row["error"]
 
-    @pytest.mark.parametrize("witness, reason", [
+    def _expected_values_row(self, capsys, catalog, cache):
+        code = cli.main(["scan", "--catalog", str(catalog), "--cache", str(cache),
+                         "--checks", "expected-values"])
+        return code, json.loads(capsys.readouterr().out)["entries"][0]
+
+    @pytest.mark.parametrize("witness, why_wrong", [
         (999, "are not elements of a group of order 10"),
         (1, "generate a subgroup with P = 1, not the cached tp 1/4"),  # a rotation
     ])
-    def test_trusted_hit_checks_its_witnesses(self, tmp_path, capsys, witness, reason):
-        # expected-values alone never recomputes tp, so the planted row is
-        # checked before it is trusted
+    def test_trusted_hit_checks_its_witnesses(self, tmp_path, capsys, witness, why_wrong):
+        # a scan that asks only for tp still recomputes it and compares the row
         catalog, cache, _ = self._d5_cache(tmp_path, [{"witnesses": [[witness]]}])
-        code = cli.main(["scan", "--catalog", str(catalog), "--cache", str(cache),
-                         "--checks", "expected-values"])
-        row = json.loads(capsys.readouterr().out)["entries"][0]
+        code, row = self._expected_values_row(capsys, catalog, cache)
         assert code == cli.EXIT_VERIFICATION
-        assert row["error"] == f"cached witnesses [{witness}] {reason}"
+        assert row["error"] == (f"cached witnesses (({witness},),) disagrees with "
+                                f"recomputed ((5,),)")
+
+    @pytest.mark.parametrize("planted, error", [
+        # the trivial subgroup attains P = 1, so only the minimum over every
+        # class shows that tp 1 is wrong
+        ({"tp": {"num": "1", "den": "1"}, "witnesses": [[0]]},
+         "cached tp 1 disagrees with recomputed 1/4"),
+        ({"subgroup_count": 999}, "cached subgroup_count 999 disagrees with recomputed 8"),
+    ])
+    def test_tp_only_scan_refuses_a_wrong_row(self, tmp_path, capsys, planted, error):
+        catalog, cache, _ = self._d5_cache(tmp_path, [planted])
+        code, row = self._expected_values_row(capsys, catalog, cache)
+        assert code == cli.EXIT_VERIFICATION and row["cache_hit"] is True
+        assert row["error"] == error
 
 
 class TestExtensionBound:
@@ -490,6 +503,11 @@ class TestCli:
 
     def test_exit_code_resource_cap(self, capsys):
         assert cli.main(["tp", "dihedral 12", "--cap-order", "10"]) == cli.EXIT_RESOURCE
+
+    @pytest.mark.parametrize("action", ["show", "subgroups"])
+    def test_group_commands_obey_the_cap(self, capsys, action):
+        code = cli.main(["group", action, "dihedral 12", "--cap-order", "10"])
+        assert code == cli.EXIT_RESOURCE
 
     def test_exit_code_verification_failure(self, capsys, tmp_path):
         path = tmp_path / "bad.tsv"

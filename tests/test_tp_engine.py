@@ -37,7 +37,7 @@ class TestTp:
                 assert result.tp <= Fraction(1, 2), name
 
     def test_table_records_minimum(self, zoo):
-        result = te.tp(zoo["s4"], keep_table=True)
+        result = te.tp(zoo["s4"])
         assert result.table is not None
         assert min(rec.p for rec in result.table) == result.tp
         normals = [rec for rec in result.table if rec.is_normal]
@@ -47,7 +47,7 @@ class TestTp:
         for name, G in zoo.items():
             if G.order > 24:
                 continue
-            table = te.tp(G, keep_table=True).table
+            table = te.tp(G).table
             classes = gc.lattice(G).classes
             assert [rec.subgroup for rec in table] == [cls[0] for cls in classes], name
             for rec, cls in zip(table, classes):
@@ -234,7 +234,7 @@ class TestSpecialValues:
         # component count is n - 4 and must divide n, leaving m in {1, 2, 4}
         hits = 0
         for name, G in zoo.items():
-            result = te.tp(G, keep_table=True)
+            result = te.tp(G)
             for rec in result.table or ():
                 if rec.p != Fraction(1, 4):
                     continue
