@@ -67,6 +67,8 @@ def _subgroup_from_csv(G, text: str) -> Subgroup:
 
 def cmd_group(args) -> int:
     G = _group_from_args(args)
+    if G.order > args.cap_order:
+        raise SizeLimitError(f"group order {G.order} exceeds --cap-order {args.cap_order}")
     if args.action == "make":
         if args.out:
             Path(args.out).write_text(write_cayley_table(G))

@@ -10,10 +10,13 @@ The tables of GroupTable and Subgroup are read-only arrays. Derived data
 writes) is cached on first use and only ever replaced by an identical value.
 `lattice(G)` is the one place that finds the subgroups of a table, splits them
 into conjugacy classes and decides which are normal; every consumer reads
-that value. A table built from another one by `subgroup_as_group` or
-`quotient_group` records its source, and once the source's lattice is built
-it takes its subgroups from there by the correspondence theorem instead of
-enumerating them again.
+that value. A fresh table gets all three from one pass of `all_subgroups`,
+which registers each new subgroup's whole conjugacy class when it first finds
+it and extends only that first member. A table built from another one by
+`subgroup_as_group` or `quotient_group` records its source, and once the
+source's lattice is built it takes its subgroups from there by the
+correspondence theorem instead of enumerating them again; it splits them with
+the same orbit walk on subgroup masks.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from .errors import (
 SUBGROUP_ORDER_CAP = 256
 ISO_ORDER_CAP = 512
 CLOSURE_ELEMENT_CAP = 20_000
+# mask cells (rows x group order) that `all_subgroups` grows in one batch
+GROW_CELLS = 8192
 
 
 class GroupTable:
@@ -227,9 +232,11 @@ def _greedy_chain(mul: np.ndarray, elems: Iterable[int]) -> tuple[tuple[int, ...
 # Subgroups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subgroup:
-    """A subgroup of `parent`, stored as its sorted element-index tuple."""
+    """A subgroup of `parent`, stored as its sorted element-index tuple. A
+    lattice holds up to tens of thousands of these, so they carry no
+    instance dict."""
 
     parent: GroupTable = field(repr=False)
     elems: tuple[int, ...]
@@ -662,47 +669,97 @@ def read_permutation_generators(text: str) -> tuple[int, list[tuple[int, ...]]]:
 def all_subgroups(G: GroupTable, cap: int = SUBGROUP_ORDER_CAP) -> list[Subgroup]:
     """The complete subgroup list, sorted by (order, element tuple).
 
-    Closure algorithm: seed with every cyclic subgroup, then repeatedly extend
-    each known subgroup H by one representative r of each (H,H)-double coset
+    Cyclic extension (Neubüser 1960): seed with the cyclic subgroups, then
+    extend subgroups H by one representative r of each (H,H)-double coset
     outside H, until no new subgroup appears. Adjoining x and adjoining any
     h1*x*h2 generate the same subgroup, so double-coset representatives
-    suffice. The trivial subgroup is not extended: its extensions are the
-    cyclic seeds.
+    suffice. A new subgroup's whole conjugacy class is registered at once
+    (`_conjugacy_class`), and only that first member H0 goes on the work
+    list. That is enough: a non-cyclic L is <H, x> for a maximal subgroup H
+    of L, and if H^g = H0 then L^g = <H0, x^g>, which the representative of
+    H0*x^g*H0 also generates; so by induction on |L| some member of L's
+    class is found, and with it the whole class. The trivial subgroup is not
+    extended: its extensions are the cyclic seeds, and an element is skipped
+    as a seed once it is known to generate a registered cyclic subgroup.
 
-    All extensions of one H grow in one batched search: row r of an
-    `(reps, n)` mask starts from H's elements with frontier H*r and
-    generators gens(H) + (r,), and ends as the mask of <H, r>. The finished
-    rows are told apart by their packed bytes, and only a row not seen before
-    becomes a `Subgroup` (which checks closure) and joins the work list.
+    The extensions of several work-list subgroups grow in one batched search
+    of at most about GROW_CELLS mask cells: row i of a `(rows, n)` mask
+    starts from H's elements with frontier H*r and generators gens(H) + (r,),
+    and ends as the mask of <H, r>. A row with a shorter frontier repeats one
+    of its own frontier elements, and one with fewer generators is padded
+    with the identity. The finished rows are told apart by their packed
+    bytes, and only a row not seen before registers a class.
+
+    The pass also yields the conjugacy classes, so it stores G's lattice when
+    none is memoised yet; `lattice` reads it from there.
     """
     if G.order > cap:
         raise SizeLimitError(f"group order {G.order} exceeds subgroup cap {cap}")
+    n = G.order
+    perms = _conjugation_perms(G)
     found: dict[bytes, Subgroup] = {}  # keyed by the packed mask
-    work: list[tuple[Subgroup, np.ndarray]] = []
-    for x in range(G.order):
-        mask = np.zeros(G.order, dtype=bool)
-        mask[closure_of(G, [x])] = True
-        key = np.packbits(mask).tobytes()
-        if key not in found:
-            found[key] = Subgroup(G, tuple(np.flatnonzero(mask).tolist()))
-            if x:  # x = 0 gives the trivial subgroup
-                work.append((found[key], np.array([x], dtype=np.intp)))
+    classes: list[list[Subgroup]] = []
+    work: list[tuple[Subgroup, tuple[int, ...]]] = []  # (H, generators of H)
+    # the elements known to generate a registered cyclic subgroup
+    generates_found = np.zeros(n, dtype=bool)
+
+    def register(mask: np.ndarray, key: bytes, gens: tuple[int, ...]) -> np.ndarray:
+        keys, masks = _conjugacy_class(perms, mask, key)
+        members = [Subgroup(G, tuple(np.flatnonzero(row).tolist())) for row in masks]
+        found.update(zip(keys, members))
+        classes.append(members)
+        if members[0].order > 1:
+            work.append((members[0], gens))
+        return masks
+
+    for x in range(n):
+        if not generates_found[x]:
+            mask = np.zeros(n, dtype=bool)
+            mask[closure_of(G, [x])] = True
+            masks = register(mask, _packed_rows(mask[None, :])[0], (x,))
+            # y generates a member of this class when it lies in one and has
+            # the same order as x
+            generates_found[masks.any(axis=0) & (G.element_orders == G.element_orders[x])] = True
+    idx = np.arange(n)
     while work:
-        H, gens = work.pop()
-        reps = np.asarray(double_cosets(G, H, H).reps, dtype=np.intp)
-        reps = reps[~H.mask[reps]]
-        row_gens = np.empty((reps.size, gens.size + 1), dtype=np.intp)
-        row_gens[:, :-1] = gens
-        row_gens[:, -1] = reps
-        reached = np.repeat(H.mask[None, :], reps.size, axis=0)
-        _grow(G.mul, reached, G.mul[H.elem_array[None, :], reps[:, None]], row_gens)
-        packed = np.packbits(reached, axis=1)
-        for i, key in enumerate(packed.view(f"V{packed.shape[1]}").ravel().tolist()):
-            if key not in found:
-                found[key] = Subgroup(G, tuple(np.flatnonzero(reached[i]).tolist()))
-                work.append((found[key], row_gens[i].copy()))
-        del reached, row_gens, packed
-    return sorted(found.values(), key=lambda s: (s.order, s.elems))
+        batch, cells = [], 0
+        while work and cells < GROW_CELLS:
+            H, gens = work.pop()
+            # the least element of each (H,H)-double coset; 0 is H's own
+            reps = np.flatnonzero(_least_in_double_coset(G, H, H) == idx)[1:]
+            if reps.size:
+                batch.append((H, gens, reps))
+                cells += reps.size * n
+        if not batch:
+            continue
+        rows = cells // n
+        width = max(H.order for H, _, _ in batch)
+        reached = np.empty((rows, n), dtype=bool)
+        frontier = np.empty((rows, width), dtype=np.intp)
+        row_gens = np.zeros((rows, max(len(gens) for _, gens, _ in batch) + 1),
+                            dtype=np.intp)
+        start = 0
+        for H, gens, reps in batch:
+            block = slice(start, start + reps.size)
+            reached[block] = H.mask
+            frontier[block, :H.order] = G.mul[H.elem_array[None, :], reps[:, None]]
+            frontier[block, H.order:] = reps[:, None]  # r = 0*r lies in H*r
+            row_gens[block, :len(gens)] = gens
+            row_gens[block, len(gens)] = reps
+            start += reps.size
+        _grow(G.mul, reached, frontier, row_gens)
+        keys = _packed_rows(reached)
+        start = 0
+        for H, gens, reps in batch:
+            for i, r in enumerate(reps.tolist(), start):
+                if keys[i] not in found:
+                    register(reached[i], keys[i], gens + (r,))
+            start += reps.size
+        del reached, frontier, row_gens
+    lat = _lattice_of(classes)
+    if G._lattice is None:
+        G._lattice = lat
+    return list(lat.subgroups)
 
 
 @dataclass(frozen=True)
@@ -721,8 +778,10 @@ def lattice(G: GroupTable, cap: int = SUBGROUP_ORDER_CAP) -> Lattice:
     A table whose source parent already has its lattice takes its subgroups
     from the parent's by the correspondence theorem: the subgroups of H are
     those of G inside H, and the subgroups of G/N are the images of the K of
-    G that contain N, each the image of exactly one such K. Every other table
-    enumerates with `all_subgroups`."""
+    G that contain N, each the image of exactly one such K. Those are split
+    into classes by `subgroup_conjugacy_classes`. Every other table runs
+    `all_subgroups`, whose one pass finds the subgroups and their classes
+    together and stores the lattice."""
     if G.order > cap:
         raise SizeLimitError(f"group order {G.order} exceeds subgroup cap {cap}")
     if G._lattice is None:
@@ -733,13 +792,61 @@ def lattice(G: GroupTable, cap: int = SUBGROUP_ORDER_CAP) -> Lattice:
                 mapped = image[K.elem_array]
                 if mapped.min() >= 0 and K.contains_subgroup(floor):
                     subs.append(Subgroup(G, np.unique(mapped)))
-            subs = tuple(sorted(subs, key=lambda s: (s.order, s.elems)))
+            G._lattice = _lattice_of(subgroup_conjugacy_classes(G, subs))
         else:
-            subs = tuple(all_subgroups(G, cap))
-        classes = subgroup_conjugacy_classes(G, subs)
-        alone = {cls[0] for cls in classes if len(cls) == 1}
-        G._lattice = Lattice(subs, classes, tuple(s for s in subs if s in alone))
+            all_subgroups(G, cap)
     return G._lattice
+
+
+def _lattice_of(classes: Iterable[Sequence[Subgroup]]) -> Lattice:
+    """The lattice with these conjugacy classes, in the canonical order: each
+    class sorted by element tuple, the classes by their first member, and the
+    subgroups by (order, element tuple)."""
+    classes = sorted((tuple(sorted(c, key=lambda s: s.elems)) for c in classes),
+                     key=lambda c: c[0].elems)
+    subs = tuple(sorted((s for c in classes for s in c), key=lambda s: (s.order, s.elems)))
+    alone = {c[0] for c in classes if len(c) == 1}
+    return Lattice(subs, tuple(classes), tuple(s for s in subs if s in alone))
+
+
+def _packed_rows(masks: np.ndarray) -> list[bytes]:
+    """One hashable key per row of a boolean mask array: its packed bytes."""
+    packed = np.packbits(masks, axis=1)
+    return packed.view(f"V{packed.shape[1]}").ravel().tolist()
+
+
+def _conjugation_perms(G: GroupTable) -> np.ndarray:
+    """Row i maps y to g*y*g^-1 for the i-th non-central generator g in
+    `G.minimal_generators`. Since y lies in S^g = g^-1*S*g exactly when
+    g*y*g^-1 lies in S, indexing the columns of a subgroup mask by row i gives
+    the mask of its conjugate by g."""
+    idx = np.arange(G.order)
+    perms = conjugates(G, idx, G.inv[list(G.minimal_generators)])
+    return perms[(perms != idx).any(axis=1)]
+
+
+def _conjugacy_class(perms: np.ndarray, mask: np.ndarray,
+                     key: bytes) -> tuple[list[bytes], np.ndarray]:
+    """The conjugacy class of the subgroup with boolean mask `mask` and packed
+    key `key`, by orbit closure under the column permutations `perms` of
+    `_conjugation_perms`: the packed keys and the masks of its members, `mask`
+    first. Conjugates equal to `mask` are dropped by one vectorised
+    comparison, so a normal subgroup packs no key, and with no `perms` (G
+    abelian) there is nothing to walk."""
+    seen = {key: None}
+    members = [mask[None, :]]
+    frontier = members[0]
+    while frontier.shape[0] and perms.shape[0]:
+        conj = frontier[:, perms].reshape(-1, mask.size)
+        conj = conj[(conj != mask).any(axis=1)]
+        fresh = []
+        for i, key in enumerate(_packed_rows(conj)):
+            if key not in seen:
+                seen[key] = None
+                fresh.append(i)
+        frontier = conj[fresh]
+        members.append(frontier)
+    return list(seen), np.concatenate(members)
 
 
 @dataclass(frozen=True)
@@ -775,14 +882,18 @@ class DoubleCosets:
     block_of: np.ndarray  # element index -> block index
 
 
-def double_cosets(G: GroupTable, H: Subgroup, K: Subgroup) -> DoubleCosets:
-    """The double cosets KgH, numbered by ascending minimal representative.
-
-    KgH is the union of the left cosets kgH, so its least element is the least
-    left-coset representative met by the elements kg.
-    """
+def _least_in_double_coset(G: GroupTable, H: Subgroup, K: Subgroup) -> np.ndarray:
+    """Entry g is the least element of the double coset KgH. KgH is the union
+    of the left cosets kgH, so its least element is the least left-coset
+    representative met by the elements kg. The g equal to their entry are the
+    minimal representatives."""
     least_in_left = G.mul[:, H.elem_array].min(axis=1)  # row g: least of gH
-    least = least_in_left[G.mul[K.elem_array, :]].min(axis=0)
+    return least_in_left[G.mul[K.elem_array, :]].min(axis=0)
+
+
+def double_cosets(G: GroupTable, H: Subgroup, K: Subgroup) -> DoubleCosets:
+    """The double cosets KgH, numbered by ascending minimal representative."""
+    least = _least_in_double_coset(G, H, K)
     reps = np.unique(least)
     block_of = np.searchsorted(reps, least)
     block_of.setflags(write=False)
@@ -834,29 +945,24 @@ def conjugator_count(G: GroupTable, H: Subgroup, K: Subgroup) -> int:
 
 def subgroup_conjugacy_classes(G: GroupTable,
                                subs: Sequence[Subgroup]) -> tuple[tuple[Subgroup, ...], ...]:
-    """Partition of `subs` into conjugacy classes (orbit closure under G's
-    generators); each class is sorted, classes ordered by their first member."""
-    by_key = {s.elems: s for s in subs}
-    remaining = dict(by_key)
-    gens = G.minimal_generators
+    """Partition of `subs`, which must be closed under conjugation, into
+    conjugacy classes by the orbit walk `_conjugacy_class` that
+    `all_subgroups` also uses; each class is sorted, classes ordered by their
+    first member."""
+    keyed = sorted(zip(_packed_rows(np.array([s.mask for s in subs])), subs),
+                   key=lambda ks: ks[1].elems)
+    by_key = dict(keyed)
+    perms = _conjugation_perms(G)
+    placed: set[bytes] = set()
     classes = []
-    for key in sorted(by_key):
-        if key not in remaining:
+    for key, s in keyed:
+        if key in placed:
             continue
-        orbit = {key}
-        frontier = [key]
-        while frontier:
-            for row in np.sort(conjugates(G, frontier.pop(), gens), axis=1):
-                conj = tuple(row.tolist())
-                if conj not in orbit:
-                    if conj not in by_key:
-                        raise VerificationError("conjugate of a subgroup missing from list")
-                    orbit.add(conj)
-                    frontier.append(conj)
-        block = sorted(orbit)
-        for k in block:
-            remaining.pop(k, None)
-        classes.append(tuple(by_key[k] for k in block))
+        keys, _ = _conjugacy_class(perms, s.mask, key)
+        if any(k not in by_key for k in keys):
+            raise VerificationError("conjugate of a subgroup missing from list")
+        placed.update(keys)
+        classes.append(tuple(sorted((by_key[k] for k in keys), key=lambda s: s.elems)))
     return tuple(classes)
 
 

@@ -504,7 +504,7 @@ class TestCli:
     def test_exit_code_resource_cap(self, capsys):
         assert cli.main(["tp", "dihedral 12", "--cap-order", "10"]) == cli.EXIT_RESOURCE
 
-    @pytest.mark.parametrize("action", ["show", "subgroups"])
+    @pytest.mark.parametrize("action", ["make", "show", "subgroups"])
     def test_group_commands_obey_the_cap(self, capsys, action):
         code = cli.main(["group", action, "dihedral 12", "--cap-order", "10"])
         assert code == cli.EXIT_RESOURCE

@@ -69,9 +69,77 @@ def one_at_a_time_subgroups(G: gc.GroupTable) -> list[tuple[int, ...]]:
     return sorted(found, key=lambda elems: (len(elems), elems))
 
 
+def extend_every_subgroup(G: gc.GroupTable) -> list[tuple[int, ...]]:
+    """Reference enumerator, the pass before whole classes were registered:
+    every cyclic subgroup, then every subgroup found extended by each of its
+    (H,H)-double-coset representatives, all the extensions of one H grown in
+    one batched search."""
+    found = {}  # mask bytes -> element tuple
+    work = []
+
+    def add(mask, gens):
+        if mask.tobytes() not in found:
+            found[mask.tobytes()] = key = tuple(np.flatnonzero(mask).tolist())
+            work.append((key, gens))
+
+    for x in range(G.order):
+        mask = np.zeros(G.order, dtype=bool)
+        mask[gc.closure_of(G, [x])] = True
+        add(mask, [x])
+    while work:
+        key, gens = work.pop()
+        H = gc.Subgroup(G, key)
+        reps = np.array(gc.double_cosets(G, H, H).reps[1:], dtype=np.intp)
+        row_gens = np.array([gens + [r] for r in reps.tolist()], dtype=np.intp)
+        reached = np.repeat(H.mask[None, :], reps.size, axis=0)
+        gc._grow(G.mul, reached, G.mul[H.elem_array[None, :], reps[:, None]], row_gens)
+        for row, row_gen in zip(reached, row_gens.tolist()):
+            add(row, row_gen)
+    return sorted(found.values(), key=lambda elems: (len(elems), elems))
+
+
+def tuple_walk_classes(G: gc.GroupTable, subs) -> list[list[tuple[int, ...]]]:
+    """Reference split of a conjugation-closed list of element tuples:
+    orbit closure on sorted tuples under G's generators. Classes are sorted,
+    and ordered by their first member."""
+    known = set(subs)
+    classes, placed = [], set()
+    for key in sorted(known):
+        if key in placed:
+            continue
+        orbit, frontier = {key}, [key]
+        while frontier:
+            for row in np.sort(gc.conjugates(G, frontier.pop(), G.minimal_generators), axis=1):
+                conj = tuple(row.tolist())
+                assert conj in known, "conjugate of a subgroup missing from list"
+                if conj not in orbit:
+                    orbit.add(conj)
+                    frontier.append(conj)
+        placed |= orbit
+        classes.append(sorted(orbit))
+    return classes
+
+
+def assert_lattice_is_the_reference(lat: gc.Lattice, G: gc.GroupTable, subs, label) -> None:
+    """`lat` against the enumerate-then-split reference on the subgroups
+    `subs`: the same subgroups, classes in the same order with the same
+    first members, and the same normal subgroups."""
+    classes = tuple_walk_classes(G, subs)
+    assert [s.elems for s in lat.subgroups] == list(subs), label
+    assert [[s.elems for s in c] for c in lat.classes] == classes, label
+    alone = {c[0] for c in classes if len(c) == 1}
+    assert [s.elems for s in lat.normal] == [k for k in subs if k in alone], label
+
+
+def relabelling(n: int, seed: int) -> np.ndarray:
+    """The permutation of 0..n-1 by which `relabelled` moves each element."""
+    return np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(n - 1)])
+
+
 def relabelled(G: gc.GroupTable, seed: int) -> gc.GroupTable:
-    """A fresh table isomorphic to G, its non-identity elements permuted."""
-    perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(G.order - 1)])
+    """A fresh table isomorphic to G, its non-identity elements permuted:
+    element x of G is element perm[x] of the result."""
+    perm = relabelling(G.order, seed)
     mul = np.empty_like(G.mul)
     mul[np.ix_(perm, perm)] = perm[G.mul]
     return gc.GroupTable(mul)
@@ -406,6 +474,48 @@ class TestLattice:
                 check(H, (name, "H", cls[0].elems))
                 for N in gc.lattice(H).normal:
                     check(gc.quotient_group(H, N)[0], (name, "H/N", cls[0].elems, N.elems))
+
+
+class TestLatticeOracle:
+    """`lattice` against the enumerate-then-split reference above."""
+
+    def test_zoo(self, zoo):
+        for name, G in zoo.items():
+            lat = gc.lattice(gc.GroupTable(G.mul))
+            assert_lattice_is_the_reference(lat, G, extend_every_subgroup(G), name)
+
+    def test_relabelled_large_tables(self):
+        """The subgroups of a relabelled table are the images of the
+        reference's on the original one."""
+        s5 = gc.from_permutation_generators(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+        for name, G in (("psl3_2", presets.psl3_2()), ("s5", s5),
+                        ("elemab 2 6", gc.elementary_abelian(2, 6))):
+            subs = extend_every_subgroup(G)
+            for seed in (0, 7):
+                X, perm = relabelled(G, seed), relabelling(G.order, seed)
+                images = sorted((tuple(sorted(perm[list(k)].tolist())) for k in subs),
+                                key=lambda elems: (len(elems), elems))
+                assert_lattice_is_the_reference(gc.lattice(X), X, images, (name, seed))
+
+    def test_a6_above_the_default_cap(self):
+        a6 = gc.from_permutation_generators(6, [(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)])
+        with pytest.raises(SizeLimitError):
+            gc.lattice(a6)
+        lat = gc.lattice(a6, cap=a6.order)
+        assert (len(lat.subgroups), len(lat.classes)) == (501, 22)
+        assert_lattice_is_the_reference(lat, a6, extend_every_subgroup(a6), "a6")
+
+    def test_subgroup_and_quotient_tables(self, catalog_groups):
+        """Derived tables split the parent's subgroups with the same orbit
+        walk as the enumeration."""
+        for name in ("s4", "sl2_3", "c3sq_c4", "c7_c3", "c2_x_d4"):
+            G = gc.GroupTable(catalog_groups[name].mul)
+            lat = gc.lattice(G)
+            tables = [gc.quotient_group(G, N)[0] for N in lat.normal]
+            tables += [gc.subgroup_as_group(G, H) for H in lat.subgroups]
+            for X in tables:
+                assert_lattice_is_the_reference(gc.lattice(X), X, extend_every_subgroup(X),
+                                                (name, X.provenance))
 
 
 class TestSubgroupBasics:
