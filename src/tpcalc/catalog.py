@@ -1,23 +1,16 @@
-"""Curated group catalog, the builder-expression grammar, batch scanning with
-theorem checks, and the line-delimited results cache.
+"""Curated group catalog, batch scanning with theorem checks, and the
+line-delimited results cache.
 
-Builder expressions are a tiny prefix grammar, one entry per catalog line as
-`id <tab> expression`. Examples:
-
-    dihedral 7
-    sdp (cyclic 3) (cyclic 4) invert
-    dp (dihedral 3) (cyclic 5)
-    perm 8 gens.txt
-
-A scan runs the entries one after another in id order, so two runs on the
-same catalog are byte-identical apart from the millis fields.
+A catalog line is `id <tab> builder-expression`, in the grammar of
+`presets.build_group`. A scan runs the entries one after another in id
+order, so two runs on the same catalog are byte-identical apart from the
+millis fields.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -25,25 +18,16 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
 
-from . import __version__, presets
+from . import __version__
 from .errors import FormatError, ParameterError, SizeLimitError, TpcalcError, VerificationError
 from .group_core import (
+    SUBGROUP_ORDER_CAP,
     GroupTable,
-    cp_rtimes_c2n,
-    cyclic,
-    dihedral,
-    direct_product,
-    elementary_abelian,
-    field_frobenius,
-    from_permutation_generators,
-    generalized_quaternion,
-    lattice,
-    read_cayley_table,
-    read_permutation_generators,
-    semidirect_product,
     action_by_inversion,
-    action_by_generator_power,
+    cyclic,
+    lattice,
 )
+from .presets import _Parser, _tokenize, build_group, read_input
 from .transversal import bounds_report
 from .tp_engine import (
     TheoremVerdict,
@@ -58,125 +42,6 @@ from .tp_engine import (
     verify_monotonicity,
     verify_structure_theorems,
 )
-
-DEFAULT_ORDER_CAP = 256
-
-
-# ---------------------------------------------------------------------------
-# Builder expressions
-# ---------------------------------------------------------------------------
-
-_TOKEN = re.compile(r"\(|\)|[^\s()]+")
-
-
-def _tokenize(expr: str) -> list[str]:
-    return _TOKEN.findall(expr)
-
-
-class _Parser:
-    def __init__(self, tokens: list[str], base_dir: Path):
-        self.tokens = tokens
-        self.pos = 0
-        self.base_dir = base_dir
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise FormatError("unexpected end of builder expression")
-        self.pos += 1
-        return tok
-
-    def take_int(self) -> int:
-        tok = self.take()
-        try:
-            return int(tok)
-        except ValueError as exc:
-            raise FormatError(f"expected an integer, got {tok!r}") from exc
-
-    def group_arg(self) -> GroupTable:
-        tok = self.take()
-        if tok != "(":
-            raise FormatError(f"expected '(', got {tok!r}")
-        G = self.expression()
-        closing = self.take()
-        if closing != ")":
-            raise FormatError(f"expected ')', got {closing!r}")
-        return G
-
-    def expression(self) -> GroupTable:
-        name = self.take()
-        if name == "cyclic":
-            return cyclic(self.take_int())
-        if name == "dihedral":
-            return dihedral(self.take_int())
-        if name == "quaternion":
-            return generalized_quaternion(self.take_int())
-        if name == "cpc2":
-            return cp_rtimes_c2n(self.take_int(), self.take_int())
-        if name == "frobfield":
-            return field_frobenius(self.take_int())
-        if name == "elemab":
-            return elementary_abelian(self.take_int(), self.take_int())
-        if name == "dp":
-            return direct_product(self.group_arg(), self.group_arg())
-        if name == "sdp":
-            G = self.group_arg()
-            K = self.group_arg()
-            return semidirect_product(G, K, self.action_arg(G, K))
-        if name == "perm":
-            degree = self.take_int()
-            path = self.base_dir / self.take()
-            file_degree, gens = read_permutation_generators(path.read_text())
-            if file_degree != degree:
-                raise FormatError(f"declared degree {degree} != file degree {file_degree}")
-            return from_permutation_generators(degree, gens)
-        if name == "table":
-            path = self.base_dir / self.take()
-            return read_cayley_table(path.read_text())
-        if name in _NAMED:
-            return _NAMED[name]()
-        raise FormatError(f"unknown builder {name!r}")
-
-    def action_arg(self, G: GroupTable, K: GroupTable):
-        name = self.take()
-        if name == "invert":
-            return action_by_inversion(G, K)
-        if name == "pow":
-            return action_by_generator_power(G, K, self.take_int())
-        if name == "swap":
-            return presets.plane_swap_action(_plane_prime(G), K)
-        if name == "qturn":
-            return presets.plane_quarter_turn_action(_plane_prime(G), K)
-        raise FormatError(f"unknown action {name!r}")
-
-
-_NAMED: dict[str, Callable[[], GroupTable]] = {
-    "a4": presets.alternating_4,
-    "a5": presets.alternating_5,
-    "s4": presets.symmetric_4,
-    "sl2_3": presets.sl2_3,
-    "psl3_2": presets.psl3_2,
-    "c4_circ_d4": presets.c4_circ_d4,
-}
-
-
-def _plane_prime(G: GroupTable) -> int:
-    p = round(G.order ** 0.5)
-    if p * p != G.order:
-        raise FormatError("plane actions need a rank-2 elementary abelian base")
-    return p
-
-
-def build_group(expr: str, base_dir: Path | str = ".") -> GroupTable:
-    parser = _Parser(_tokenize(expr), Path(base_dir))
-    G = parser.expression()
-    if parser.peek() is not None:
-        raise FormatError(f"trailing tokens in builder expression: {parser.tokens[parser.pos:]}")
-    return G
-
 
 # ---------------------------------------------------------------------------
 # Catalog entries
@@ -281,7 +146,7 @@ def _ensure_unique_ids(entries: Sequence[CatalogEntry], source: str) -> None:
 def parse_catalog_file(path: Path | str) -> list[CatalogEntry]:
     path = Path(path)
     entries = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_input(path).splitlines(), start=1):
         line = raw.rstrip()
         if not line or line.lstrip().startswith("#"):
             continue
@@ -578,13 +443,17 @@ def _millis(started: float) -> int:
 
 
 def scan_and_report(entries: Sequence[CatalogEntry], checks: Sequence[str] | None = None,
-                    out: Path | str | None = None, cap_order: int = DEFAULT_ORDER_CAP,
+                    out: Path | str | None = None, cap_order: int = SUBGROUP_ORDER_CAP,
                     jobs: int = 1, cache: ResultsCache | None = None,
                     fmt: str = "json") -> tuple[dict, bool]:
     """Run the requested checks over the catalog; returns (report, ok).
-    `jobs` must be 1: entries run one after another."""
+    `jobs` must be 1: entries run one after another. The checks enumerate
+    subgroups under SUBGROUP_ORDER_CAP, so `cap_order` may not exceed it."""
     if jobs != 1:
         raise ParameterError(f"jobs must be 1, got {jobs}")
+    if cap_order > SUBGROUP_ORDER_CAP:
+        raise ParameterError(
+            f"cap_order {cap_order} exceeds the subgroup cap {SUBGROUP_ORDER_CAP}")
     check_names = resolve_checks(checks)
     cat_hash = catalog_hash(entries)
     ordered = sorted(entries, key=lambda e: e.id)

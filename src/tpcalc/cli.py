@@ -22,7 +22,6 @@ from .arith_nt import (
 from .catalog import (
     CHECKS,
     ResultsCache,
-    build_group,
     catalog_build,
     rational_json,
     report_to_csv,
@@ -32,6 +31,7 @@ from .catalog import (
 from .coset_graph import build_coset_graph
 from .errors import FormatError, ParameterError, SizeLimitError, TpcalcError
 from .group_core import (
+    SUBGROUP_ORDER_CAP,
     GroupTable,
     Subgroup,
     classify_structure,
@@ -40,6 +40,7 @@ from .group_core import (
     subgroup_generated,
     write_cayley_table,
 )
+from .presets import build_group, read_input
 from .tp_engine import tp
 from .transversal import bounds_report, p_g
 
@@ -51,7 +52,7 @@ EXIT_RESOURCE = 3
 
 def _group_from_args(args) -> GroupTable:
     if getattr(args, "table", None):
-        return read_cayley_table(Path(args.table).read_text())
+        return read_cayley_table(read_input(args.table))
     return build_group(args.group, base_dir=".")
 
 
@@ -63,6 +64,17 @@ def _subgroup_from_csv(G, text: str) -> Subgroup:
     except ValueError as exc:
         raise ParameterError(f"bad generator list {text!r}") from exc
     return subgroup_generated(G, gens)
+
+
+def _pair_from_args(args) -> tuple[GroupTable, Subgroup, Subgroup]:
+    """G, H from --subgroup and K from --right (default H), of equal index."""
+    G = _group_from_args(args)
+    H = _subgroup_from_csv(G, args.subgroup)
+    K = _subgroup_from_csv(G, args.right) if args.right else H
+    if K.order != H.order:
+        raise ParameterError(
+            f"--right subgroup has index {K.index}, --subgroup has index {H.index}")
+    return G, H, K
 
 
 def cmd_group(args) -> int:
@@ -95,9 +107,7 @@ def cmd_group(args) -> int:
 
 
 def cmd_pg(args) -> int:
-    G = _group_from_args(args)
-    H = _subgroup_from_csv(G, args.subgroup)
-    K = _subgroup_from_csv(G, args.right) if args.right else H
+    G, H, K = _pair_from_args(args)
     graph = build_coset_graph(G, H, K)
     value = p_g(G, H, K, graph=graph)
     print(f"P = {value.numerator}/{value.denominator}")
@@ -132,9 +142,7 @@ def cmd_tp(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    G = _group_from_args(args)
-    H = _subgroup_from_csv(G, args.subgroup)
-    K = _subgroup_from_csv(G, args.right) if args.right else H
+    G, H, K = _pair_from_args(args)
     graph = build_coset_graph(G, H, K)
     if args.dot:
         lines = ["graph coset_intersection {"]
@@ -232,7 +240,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_group = sub.add_parser("group", help="construct and inspect groups")
     p_group.add_argument("action", choices=["make", "show", "subgroups"])
     add_group_source(p_group)
-    p_group.add_argument("--cap-order", type=int, default=256)
+    p_group.add_argument("--cap-order", type=int, default=SUBGROUP_ORDER_CAP)
     p_group.add_argument("--out", help="write the Cayley table to this file")
     p_group.set_defaults(func=cmd_group)
 
@@ -247,7 +255,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_tp = sub.add_parser("tp", help="minimum probability over all subgroups")
     add_group_source(p_tp)
-    p_tp.add_argument("--cap-order", type=int, default=256)
+    p_tp.add_argument("--cap-order", type=int, default=SUBGROUP_ORDER_CAP)
     p_tp.set_defaults(func=cmd_tp)
 
     p_gr = sub.add_parser("graph", help="coset intersection graph")
@@ -260,7 +268,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run one theorem check over a catalog")
     p_ver.add_argument("theorem", choices=sorted(CHECKS) + ["all"])
     p_ver.add_argument("--catalog", default=None, help="catalog file (default builtin)")
-    p_ver.add_argument("--cap-order", type=int, default=256)
+    p_ver.add_argument("--cap-order", type=int, default=SUBGROUP_ORDER_CAP)
     p_ver.add_argument("--report", default=None)
     p_ver.add_argument("--format", choices=["json", "csv"], default="json")
     p_ver.set_defaults(func=cmd_verify)
@@ -269,7 +277,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--catalog", default=None)
     p_scan.add_argument("--checks", default=None,
                         help="comma-separated check names (default: all standard)")
-    p_scan.add_argument("--cap-order", type=int, default=256)
+    p_scan.add_argument("--cap-order", type=int, default=SUBGROUP_ORDER_CAP)
     p_scan.add_argument("--report", default=None)
     p_scan.add_argument("--format", choices=["json", "csv"], default="json")
     p_scan.add_argument("--no-cache", action="store_true")

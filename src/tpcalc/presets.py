@@ -1,14 +1,29 @@
-"""Concrete constructions of the specific groups the classification and
-verification layers compare against. Each is deterministic and order-checked.
+"""Named groups: the builder-expression grammar, the few groups it names that
+need hand-written constructions, and the reference groups of the
+classification and verification layers, each written as an expression.
+
+Builder expressions are a tiny prefix grammar, one per catalog line.
+Examples:
+
+    dihedral 7
+    sdp (cyclic 3) (cyclic 4) invert
+    dp (dihedral 3) (cyclic 5)
+    perm 8 gens.txt
+
+`named(expr)` builds a file-free expression once per process, so every
+caller that names the same reference group shares one table and its memos.
 """
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .errors import VerificationError
+from .errors import FormatError, VerificationError
 from .group_core import (
     GroupTable,
     action_by_generator_power,
@@ -22,6 +37,8 @@ from .group_core import (
     from_permutation_generators,
     generalized_quaternion,
     quotient_group,
+    read_cayley_table,
+    read_permutation_generators,
     semidirect_product,
     subgroup_generated,
 )
@@ -80,24 +97,6 @@ def psl3_2() -> GroupTable:
 
 
 @lru_cache(maxsize=None)
-def c4_rtimes_c4() -> GroupTable:
-    """The nonabelian C4-by-C4 split extension of order 16 (inversion action)."""
-    base = cyclic(4)
-    top = cyclic(4)
-    return _checked(semidirect_product(base, top, action_by_inversion(base, top)), 16)
-
-
-@lru_cache(maxsize=None)
-def modular_16() -> GroupTable:
-    """The modular (semidihedral-adjacent) group of order 16: C8 by C2 with
-    the involution acting as the fifth-power map."""
-    base = cyclic(8)
-    top = cyclic(2)
-    return _checked(semidirect_product(
-        base, top, action_by_generator_power(base, top, 5)), 16)
-
-
-@lru_cache(maxsize=None)
 def c4_circ_d4() -> GroupTable:
     """Central product of C4 and D4 over their shared central involution."""
     prod = direct_product(cyclic(4), dihedral(4))
@@ -129,57 +128,166 @@ def plane_quarter_turn_action(p: int, top: GroupTable) -> list[np.ndarray]:
     return perms
 
 
-@lru_cache(maxsize=None)
-def c2sq_rtimes_c4() -> GroupTable:
-    base = elementary_abelian(2, 2)
-    top = cyclic(4)
-    return _checked(semidirect_product(base, top, plane_swap_action(2, top)), 16)
+# ---------------------------------------------------------------------------
+# Builder expressions
+# ---------------------------------------------------------------------------
+
+_TOKEN = re.compile(r"\(|\)|[^\s()]+")
+
+
+def _tokenize(expr: str) -> list[str]:
+    return _TOKEN.findall(expr)
+
+
+def read_input(path: Path | str) -> str:
+    """The text of an input file; a file that cannot be read is a FormatError."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"cannot read {path}: not UTF-8 text") from exc
+
+
+class _Parser:
+    def __init__(self, tokens: list[str], base_dir: Path):
+        self.tokens = tokens
+        self.pos = 0
+        self.base_dir = base_dir
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self) -> str:
+        tok = self.peek()
+        if tok is None:
+            raise FormatError("unexpected end of builder expression")
+        self.pos += 1
+        return tok
+
+    def take_int(self) -> int:
+        tok = self.take()
+        try:
+            return int(tok)
+        except ValueError as exc:
+            raise FormatError(f"expected an integer, got {tok!r}") from exc
+
+    def group_arg(self) -> GroupTable:
+        tok = self.take()
+        if tok != "(":
+            raise FormatError(f"expected '(', got {tok!r}")
+        G = self.expression()
+        closing = self.take()
+        if closing != ")":
+            raise FormatError(f"expected ')', got {closing!r}")
+        return G
+
+    def expression(self) -> GroupTable:
+        name = self.take()
+        if name == "cyclic":
+            return cyclic(self.take_int())
+        if name == "dihedral":
+            return dihedral(self.take_int())
+        if name == "quaternion":
+            return generalized_quaternion(self.take_int())
+        if name == "cpc2":
+            return cp_rtimes_c2n(self.take_int(), self.take_int())
+        if name == "frobfield":
+            return field_frobenius(self.take_int())
+        if name == "elemab":
+            return elementary_abelian(self.take_int(), self.take_int())
+        if name == "dp":
+            return direct_product(self.group_arg(), self.group_arg())
+        if name == "sdp":
+            G = self.group_arg()
+            K = self.group_arg()
+            return semidirect_product(G, K, self.action_arg(G, K))
+        if name == "perm":
+            degree = self.take_int()
+            text = read_input(self.base_dir / self.take())
+            file_degree, gens = read_permutation_generators(text)
+            if file_degree != degree:
+                raise FormatError(f"declared degree {degree} != file degree {file_degree}")
+            return from_permutation_generators(degree, gens)
+        if name == "table":
+            return read_cayley_table(read_input(self.base_dir / self.take()))
+        if name in _NAMED:
+            return _NAMED[name]()
+        raise FormatError(f"unknown builder {name!r}")
+
+    def action_arg(self, G: GroupTable, K: GroupTable):
+        name = self.take()
+        if name == "invert":
+            return action_by_inversion(G, K)
+        if name == "pow":
+            return action_by_generator_power(G, K, self.take_int())
+        if name == "swap":
+            return plane_swap_action(_plane_prime(G), K)
+        if name == "qturn":
+            return plane_quarter_turn_action(_plane_prime(G), K)
+        raise FormatError(f"unknown action {name!r}")
+
+
+_NAMED: dict[str, Callable[[], GroupTable]] = {
+    "a4": alternating_4,
+    "a5": alternating_5,
+    "s4": symmetric_4,
+    "sl2_3": sl2_3,
+    "psl3_2": psl3_2,
+    "c4_circ_d4": c4_circ_d4,
+}
+
+
+def _plane_prime(G: GroupTable) -> int:
+    p = round(G.order ** 0.5)
+    if p * p != G.order:
+        raise FormatError("plane actions need a rank-2 elementary abelian base")
+    return p
+
+
+def build_group(expr: str, base_dir: Path | str = ".") -> GroupTable:
+    parser = _Parser(_tokenize(expr), Path(base_dir))
+    G = parser.expression()
+    if parser.peek() is not None:
+        raise FormatError(f"trailing tokens in builder expression: {parser.tokens[parser.pos:]}")
+    return G
 
 
 @lru_cache(maxsize=None)
-def c3sq_rtimes_c4() -> GroupTable:
-    """The order-36 fixed-point-free extension of C3 x C3 by C4."""
-    base = elementary_abelian(3, 2)
-    top = cyclic(4)
-    return _checked(semidirect_product(base, top, plane_quarter_turn_action(3, top)), 36)
+def named(expr: str) -> GroupTable:
+    """The group a file-free builder expression names, built once per process."""
+    return build_group(expr)
 
 
-@lru_cache(maxsize=None)
-def c7_rtimes_c3() -> GroupTable:
-    base = cyclic(7)
-    top = cyclic(3)
-    return _checked(semidirect_product(
-        base, top, action_by_generator_power(base, top, 2)), 21)
+# ---------------------------------------------------------------------------
+# Reference groups
+# ---------------------------------------------------------------------------
 
+_QUARTER_REFERENCES = {
+    "d6": "dihedral 6",
+    "modular_16": "sdp (cyclic 8) (cyclic 2) pow 5",
+    "c4_circ_d4": "c4_circ_d4",
+    "c2_x_d4": "dp (cyclic 2) (dihedral 4)",
+    "c2sq_rtimes_c4": "sdp (elemab 2 2) (cyclic 4) swap",
+}
 
-@lru_cache(maxsize=None)
-def c2cube_rtimes_c7() -> GroupTable:
-    """The order-56 affine group of GF(8)."""
-    return _checked(GroupTable(field_frobenius(8).mul, provenance="c2cube_rtimes_c7"), 56)
+_HALF_REFERENCES = {
+    8: {"d4": "dihedral 4"},
+    16: {"q16": "quaternion 16", "c4_rtimes_c4": "sdp (cyclic 4) (cyclic 4) invert"},
+}
 
 
 def quarter_classification_references() -> dict[str, GroupTable]:
     """Reference groups for the quotient shape in the tp = 1/4 classification."""
-    return {
-        "d6": dihedral(6),
-        "modular_16": modular_16(),
-        "c4_circ_d4": c4_circ_d4(),
-        "c2_x_d4": direct_product(cyclic(2), dihedral(4)),
-        "c2sq_rtimes_c4": c2sq_rtimes_c4(),
-    }
+    return {name: named(expr) for name, expr in _QUARTER_REFERENCES.items()}
 
 
 def half_classification_references(order: int) -> dict[str, GroupTable]:
     """Reference groups of the given order for the tp = 1/2 classification."""
-    refs: dict[str, GroupTable] = {}
-    if order == 8:
-        refs["d4"] = dihedral(4)
-    if order == 16:
-        refs["q16"] = generalized_quaternion(16)
-        refs["c4_rtimes_c4"] = c4_rtimes_c4()
+    refs = {name: named(expr) for name, expr in _HALF_REFERENCES.get(order, {}).items()}
     k = _two_power_cofactor(order, 3)
     if k is not None and k >= 1:
-        refs[f"c3_rtimes_c{2**k}"] = cp_rtimes_c2n(3, k)
+        refs[f"c3_rtimes_c{2**k}"] = named(f"cpc2 3 {k}")
     return refs
 
 
@@ -188,7 +296,7 @@ def quarter_family_i_reference(order: int) -> tuple[str, GroupTable] | None:
     k = _two_power_cofactor(order, 5)
     if k is None or k < 1:
         return None
-    return f"c5_rtimes_c{2**k}", cp_rtimes_c2n(5, k)
+    return f"c5_rtimes_c{2**k}", named(f"cpc2 5 {k}")
 
 
 def _two_power_cofactor(order: int, p: int) -> int | None:

@@ -27,7 +27,6 @@ from .group_core import (
     Subgroup,
     all_subgroups,
     classify_structure,
-    dihedral,
     direct_product,
     has_section,
     is_isomorphic,
@@ -194,9 +193,11 @@ def verify_monotonicity(G: GroupTable, group_id: str = "") -> list[TheoremVerdic
 # Structure theorems
 # ---------------------------------------------------------------------------
 
+_BAD_SECTIONS = (("a4", "a4"), ("d3", "dihedral 3"), ("d5", "dihedral 5"), ("d7", "dihedral 7"))
+
+
 def _bad_section_catalog() -> list[tuple[str, GroupTable]]:
-    return [("a4", presets.alternating_4()), ("d3", dihedral(3)),
-            ("d5", dihedral(5)), ("d7", dihedral(7))]
+    return [(name, presets.named(expr)) for name, expr in _BAD_SECTIONS]
 
 
 def verify_structure_theorems(G: GroupTable, group_id: str = "") -> list[TheoremVerdict]:
@@ -208,7 +209,7 @@ def verify_structure_theorems(G: GroupTable, group_id: str = "") -> list[Theorem
 
     hyp = tp_g > TP_2_POW_40
     if hyp and not report.is_soluble:
-        found, _ = has_section(G, presets.alternating_5())
+        found, _ = has_section(G, presets.named("a5"))
         concl = found
         detail = "a5-section" if found else "none"
     else:
@@ -220,7 +221,7 @@ def verify_structure_theorems(G: GroupTable, group_id: str = "") -> list[Theorem
 
     hyp = tp_g > TP_2_POW_8
     if hyp and not report.is_supersoluble:
-        found, _ = has_section(G, presets.alternating_4())
+        found, _ = has_section(G, presets.named("a4"))
         concl = found
         detail = "a4-section" if found else "none"
     else:

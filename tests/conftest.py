@@ -36,12 +36,12 @@ def zoo() -> dict[str, gc.GroupTable]:
         "c3_c4": gc.cp_rtimes_c2n(3, 2),
         "c5_c4": gc.cp_rtimes_c2n(5, 2),
         "f20": gc.field_frobenius(5),
-        "c7_c3": presets.c7_rtimes_c3(),
+        "c7_c3": presets.build_group("sdp (cyclic 7) (cyclic 3) pow 2"),
         "sl2_3": presets.sl2_3(),
-        "c3sq_c4": presets.c3sq_rtimes_c4(),
-        "m4_2": presets.modular_16(),
+        "c3sq_c4": presets.build_group("sdp (elemab 3 2) (cyclic 4) qturn"),
+        "m4_2": presets.build_group("sdp (cyclic 8) (cyclic 2) pow 5"),
         "c4_circ_d4": presets.c4_circ_d4(),
-        "c2sq_c4": presets.c2sq_rtimes_c4(),
+        "c2sq_c4": presets.build_group("sdp (elemab 2 2) (cyclic 4) swap"),
     }
 
 

@@ -55,11 +55,12 @@ class TestAcceptance:
                 fast_cases.append((f"d{n}", gc.dihedral(n), Fraction(1, 2**exp)))
             fast_cases += [
                 ("q16", gc.generalized_quaternion(16), Fraction(1, 2)),
-                ("c4:c4", presets.c4_rtimes_c4(), Fraction(1, 2)),
+                ("c4:c4", presets.build_group("sdp (cyclic 4) (cyclic 4) invert"), Fraction(1, 2)),
                 ("a4", presets.alternating_4(), Fraction(2, 9)),
                 ("a5", presets.alternating_5(), Fraction(1, 2**14)),
-                ("c2^3:c7", presets.c2cube_rtimes_c7(), Fraction(1, 2**12)),
-                ("c3^2:c4", presets.c3sq_rtimes_c4(), Fraction(1, 2**8)),
+                ("c2^3:c7", presets.build_group("frobfield 8"), Fraction(1, 2**12)),
+                ("c3^2:c4", presets.build_group("sdp (elemab 3 2) (cyclic 4) qturn"),
+                 Fraction(1, 2**8)),
                 ("sl2(3)", presets.sl2_3(), Fraction(4, 81)),
             ]
             started = time.perf_counter()

@@ -161,6 +161,19 @@ class TestScan:
         assert not ok
         assert "error" in report["entries"][0]
 
+    def test_missing_perm_file_is_an_error_row(self, tmp_path):
+        path = tmp_path / "lost.tsv"
+        path.write_text("s3\tdihedral 3\nlost\tperm 6 nosuch.txt\n")
+        report, ok = cat.scan_and_report(cat.catalog_build(path), checks=["expected-values"])
+        rows = {row["group"]: row for row in report["entries"]}
+        assert not ok
+        assert "cannot read" in rows["lost"]["error"]
+        assert rows["s3"]["consistent"]
+
+    def test_refuses_a_cap_above_the_subgroup_cap(self, small_catalog):
+        with pytest.raises(ParameterError):
+            cat.scan_and_report(small_catalog, cap_order=gc.SUBGROUP_ORDER_CAP + 1)
+
     def test_builtin_catalog_full_scan_is_consistent(self, catalog_entries, tmp_path):
         report, ok = cat.scan_and_report(catalog_entries, out=tmp_path / "full.json")
         assert ok
@@ -461,6 +474,15 @@ class TestCli:
         assert "t-vector (1, 1, 1, 1, 1, 1)" in trivial
         assert pg("--subgroup=0", "--right=0") == trivial
 
+    @pytest.mark.parametrize("command", ["pg", "graph"])
+    def test_right_of_another_index_is_a_usage_error(self, capsys, command):
+        # in dihedral 3, element 1 is a rotation (index 2), element 3 a reflection (index 3)
+        assert cli.main([command, "dihedral 3", "--subgroup", "1", "--right", "3"]) \
+            == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error" in captured.err and "index" in captured.err
+
     def test_group_subcommands(self, capsys, tmp_path):
         out_file = tmp_path / "d4.txt"
         assert cli.main(["group", "make", "dihedral 4", "--out", str(out_file)]) == 0
@@ -500,6 +522,21 @@ class TestCli:
             cli.main(["tp"])  # missing group argument
         assert exc.value.code == 2
         assert cli.main(["tp", "cyclic x"]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("args", [["tp", "perm 6 nosuch.txt"],
+                                      ["tp", "--table", "nosuch.txt"],
+                                      ["scan", "--catalog", "nosuch.tsv", "--no-cache"],
+                                      ["tp", "--table", "latin1.txt"]])
+    def test_unreadable_input_file_is_a_usage_error(self, capsys, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "latin1.txt").write_bytes(b"\xff\xfe\n")  # not UTF-8
+        assert cli.main(args) == cli.EXIT_USAGE
+        assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["scan", "--no-cache"], ["verify", "nilpotency"]])
+    def test_catalog_commands_refuse_a_larger_cap(self, capsys, args):
+        assert cli.main([*args, "--cap-order", "720"]) == cli.EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
 
     def test_exit_code_resource_cap(self, capsys):
         assert cli.main(["tp", "dihedral 12", "--cap-order", "10"]) == cli.EXIT_RESOURCE

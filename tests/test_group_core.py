@@ -168,6 +168,56 @@ class TestTableValidation:
         with pytest.raises(ParameterError):
             gc.GroupTable([[0, 1], [1, 1]])
 
+    def test_accepts_exactly_the_group_tables(self):
+        """Identity, two-sided inverses and associativity make a group, and a
+        group's table is a Latin square, so the constructor runs no Latin test.
+        Checked against brute force on every 2x2 and 3x3 table with the
+        identity border and on seeded random and near-group tables of orders
+        4-6; some of these have inverses but repeat an entry in a row."""
+        def bordered(n):
+            mul = np.zeros((n, n), dtype=np.int64)
+            mul[0] = mul[:, 0] = np.arange(n)
+            return mul
+
+        tables = []
+        for n in (2, 3):
+            for interior in itertools.product(range(n), repeat=(n - 1) ** 2):
+                mul = bordered(n)
+                mul[1:, 1:] = np.reshape(interior, (n - 1, n - 1))
+                tables.append(mul)
+        rng = np.random.default_rng(0)
+        for G in (gc.cyclic(4), gc.elementary_abelian(2, 2), gc.cyclic(5), gc.cyclic(6),
+                  gc.dihedral(3)):
+            n = G.order
+            for _ in range(300):
+                mul = bordered(n)
+                mul[1:, 1:] = rng.integers(0, n, (n - 1, n - 1))
+                tables.append(mul)
+                perm = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+                near = np.empty((n, n), dtype=np.int64)
+                near[np.ix_(perm, perm)] = perm[G.mul]
+                for _ in range(rng.integers(0, 3)):
+                    near[rng.integers(1, n), rng.integers(1, n)] = rng.integers(0, n)
+                tables.append(near)
+
+        accepted = non_latin_with_inverses = 0
+        for mul in tables:
+            n = len(mul)
+            idx = np.arange(n)
+            inverses = bool(((mul == 0) & (mul.T == 0)).any(axis=1).all())
+            associative = np.array_equal(mul[mul], mul[idx[:, None, None], mul[None]])
+            is_group = inverses and associative  # the identity border is built in
+            try:
+                gc.GroupTable(mul)
+                ok = True
+            except ParameterError:
+                ok = False
+            assert ok == is_group, mul
+            accepted += ok
+            latin = all(sorted(row) == list(idx) for row in np.vstack([mul, mul.T]))
+            non_latin_with_inverses += inverses and not latin
+        assert accepted > 300 and non_latin_with_inverses > 100
+
     def test_rejects_nonassociative_loop(self):
         # search the smallest loop (Latin square with identity) that fails
         # associativity; it has order 5, and the constructor must reject it
@@ -295,7 +345,7 @@ class TestProducts:
         assert gc.is_isomorphic(G, gc.cp_rtimes_c2n(3, 2))
 
     def test_c3sq_c4_order(self):
-        assert presets.c3sq_rtimes_c4().order == 36
+        assert presets.build_group("sdp (elemab 3 2) (cyclic 4) qturn").order == 36
 
     def test_canonical_copies_embed(self):
         base, top = gc.cyclic(5), gc.cyclic(4)
@@ -743,7 +793,7 @@ class TestSections:
         assert H.order == 12 and N.order == 1
 
     def test_c2cube_c7_has_no_a4_section(self, zoo):
-        G = presets.c2cube_rtimes_c7()
+        G = presets.build_group("frobfield 8")
         found, _ = gc.has_section(G, zoo["a4"])
         assert not found
 

@@ -194,12 +194,19 @@ class TestSpecialValues:
             (gc.cp_rtimes_c2n(3, 3), "c3_rtimes_c8"),
             (gc.dihedral(4), "d4"),
             (gc.generalized_quaternion(16), "q16"),
-            (presets.c4_rtimes_c4(), "c4_rtimes_c4"),
+            (presets.build_group("sdp (cyclic 4) (cyclic 4) invert"), "c4_rtimes_c4"),
         ]:
             verdicts = {v.theorem: v for v in te.classify_special_values(G)}
             v = verdicts["tp-half-classification"]
             assert v.hypothesis_holds and v.conclusion_holds
             assert v.details["family"] == family
+
+    def test_reference_groups_are_built_once(self):
+        first = presets.quarter_classification_references()
+        assert presets.quarter_classification_references()["d6"] is first["d6"]
+        assert presets.half_classification_references(16)["q16"] \
+            is presets.named("quaternion 16")
+        assert presets.quarter_family_i_reference(20)[1] is presets.named("cpc2 5 2")
 
     def test_quarter_families(self, zoo):
         verdicts = {v.theorem: v for v in te.classify_special_values(zoo["d6"])}
