@@ -9,7 +9,9 @@ millis fields.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import sys
 import time
@@ -480,14 +482,15 @@ def scan_and_report(entries: Sequence[CatalogEntry], checks: Sequence[str] | Non
 
 
 def report_to_csv(report: dict) -> str:
-    lines = ["group,order,tp,subgroups,consistent,skipped,millis"]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["group", "order", "tp", "subgroups", "consistent", "skipped", "millis"])
     for row in report["entries"]:
         tp_str = ""
         if "tp" in row:
             tp_str = f"{row['tp']['num']}/{row['tp']['den']}"
-        lines.append(",".join(str(x) for x in (
+        writer.writerow([
             row.get("group", ""), row.get("order", ""), tp_str,
             row.get("subgroup_count", ""), row.get("consistent", ""),
-            (row.get("skipped") or row.get("error") or "").replace(",", ";"),
-            row.get("millis", ""))))
-    return "\n".join(lines) + "\n"
+            row.get("skipped") or row.get("error") or "", row.get("millis", "")])
+    return text.getvalue()

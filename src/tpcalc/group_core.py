@@ -17,6 +17,12 @@ it and extends only that first member. A table built from another one by
 source's lattice is built it takes its subgroups from there by the
 correspondence theorem instead of enumerating them again; it splits them with
 the same orbit walk on subgroup masks.
+
+Only tables given from outside are validated. A subgroup or quotient table is
+carried from a validated parent by a checked map (the closure of H, the
+normality of N and the homomorphism property of the coset map), so it skips
+the axiom checks; subgroups found by a search closure, by conjugation or as
+images under such a map skip `Subgroup`'s closure check the same way.
 """
 
 from __future__ import annotations
@@ -65,11 +71,32 @@ class GroupTable:
         # table is a Latin square; no separate Latin test is needed
         gens, chain_sizes = _greedy_chain(mul, range(n))
         _check_associativity(mul, gens)
+        self._set_table(mul, inv, gens, chain_sizes, provenance)
+
+    @classmethod
+    def _derived(cls, mul, inv, provenance: str,
+                 source: tuple[GroupTable, np.ndarray, Subgroup]) -> GroupTable:
+        """A table carried from the validated table `source[0]` by a map its
+        caller has checked (`subgroup_as_group`, `quotient_group`), so the
+        group axioms hold without being tested again; `inv` comes from the
+        map too. `source` is (parent, lift, floor) for `lattice`: element i
+        of the new table is the image of parent element lift[i], and floor is
+        the kernel (the trivial subgroup for a subgroup table)."""
+        self = cls.__new__(cls)
+        mul = np.ascontiguousarray(mul, dtype=np.int32)
+        gens, chain_sizes = _greedy_chain(mul, range(mul.shape[0]))
+        self._set_table(mul, np.ascontiguousarray(inv, dtype=np.int32), gens, chain_sizes,
+                        provenance)
+        self._source = source
+        return self
+
+    def _set_table(self, mul: np.ndarray, inv: np.ndarray, gens: tuple[int, ...],
+                   chain_sizes: tuple[int, ...], provenance: str) -> None:
         mul.setflags(write=False)
         inv.setflags(write=False)
         self.mul = mul
         self.inv = inv
-        self.order = n
+        self.order = mul.shape[0]
         # greedy generating sequence (repeatedly adjoin the smallest index not
         # yet reached) and the order of the subgroup after each step
         self.minimal_generators: tuple[int, ...] = gens
@@ -78,8 +105,7 @@ class GroupTable:
         self.provenance = provenance
         self._lattice: Lattice | None = None
         self._tp_cache = None
-        # (parent, element map, floor), set by subgroup_as_group and
-        # quotient_group for lattice() to read
+        # (parent, lift, floor), set by _derived for lattice() to read
         self._source: tuple[GroupTable, np.ndarray, Subgroup] | None = None
 
     # -- basic element operations ------------------------------------------
@@ -239,13 +265,12 @@ class Subgroup:
 
     parent: GroupTable = field(repr=False)
     elems: tuple[int, ...]
-    # built by the closure check in __post_init__; read-only
+    # built by the closure check in __post_init__ or by _of_mask; read-only
     mask: np.ndarray = field(init=False, repr=False, compare=False)
     elem_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         elems = tuple(map(int, self.elems))
-        object.__setattr__(self, "elems", elems)
         if not elems or elems[0] != 0 or list(elems) != sorted(set(elems)):
             raise ParameterError("subgroup elements must be sorted, unique, and contain 0")
         arr = np.array(elems, dtype=np.int64)
@@ -255,8 +280,26 @@ class Subgroup:
             raise ParameterError("element set is not closed under multiplication")
         if self.parent.order % len(elems) != 0:
             raise ParameterError("subgroup order does not divide the group order")
+        self._set_arrays(elems, mask, arr)
+
+    @classmethod
+    def _of_mask(cls, parent: GroupTable, mask: np.ndarray) -> Subgroup:
+        """The subgroup of `parent` with boolean mask `mask`, for a caller
+        that knows the set is one: a search closure, a conjugate, or the image
+        of a subgroup under a checked homomorphism. No closure check runs;
+        `subgroup_as_group` still rejects a set that is not closed."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "parent", parent)
+        elems = np.flatnonzero(mask).tolist()
+        # own copies: a view of a row, or the flatnonzero result, would keep
+        # its whole base array alive for as long as the subgroup lives
+        self._set_arrays(tuple(elems), np.array(mask), np.array(elems, dtype=np.int64))
+        return self
+
+    def _set_arrays(self, elems: tuple[int, ...], mask: np.ndarray, arr: np.ndarray) -> None:
         mask.setflags(write=False)
         arr.setflags(write=False)
+        object.__setattr__(self, "elems", elems)
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "elem_array", arr)
 
@@ -708,7 +751,7 @@ def all_subgroups(G: GroupTable, cap: int = SUBGROUP_ORDER_CAP) -> list[Subgroup
 
     def register(mask: np.ndarray, key: bytes, gens: tuple[int, ...]) -> np.ndarray:
         keys, masks = _conjugacy_class(perms, mask, key)
-        members = [Subgroup(G, tuple(np.flatnonzero(row).tolist())) for row in masks]
+        members = [Subgroup._of_mask(G, row) for row in masks]
         found.update(zip(keys, members))
         classes.append(members)
         if members[0].order > 1:
@@ -789,12 +832,16 @@ def lattice(G: GroupTable, cap: int = SUBGROUP_ORDER_CAP) -> Lattice:
         raise SizeLimitError(f"group order {G.order} exceeds subgroup cap {cap}")
     if G._lattice is None:
         if G._source is not None and G._source[0]._lattice is not None:
-            parent, image, floor = G._source
-            subs = []
-            for K in parent._lattice.subgroups:
-                mapped = image[K.elem_array]
-                if mapped.min() >= 0 and K.contains_subgroup(floor):
-                    subs.append(Subgroup(G, np.unique(mapped)))
+            parent, lift, floor = G._source
+            masks = np.array([K.mask for K in parent._lattice.subgroups])
+            masks = masks[masks[:, floor.elem_array].all(axis=1)]
+            # a K over the floor is a union of its cosets, so row K of mapped
+            # marks the cosets lift[i]*floor inside K; K is the preimage of
+            # that row's subgroup when they make up all of K (for a subgroup
+            # table: when K lies inside it)
+            mapped = masks[:, lift]
+            mapped = mapped[mapped.sum(axis=1) * floor.order == masks.sum(axis=1)]
+            subs = [Subgroup._of_mask(G, row) for row in mapped]
             G._lattice = _lattice_of(subgroup_conjugacy_classes(G, subs))
         else:
             all_subgroups(G, cap)
@@ -979,25 +1026,30 @@ def quotient_group(G: GroupTable, N: Subgroup) -> tuple[GroupTable, np.ndarray]:
         raise NormalityError("quotient by a non-normal subgroup")
     left = cosets(G, N, "left")
     proj = left.ids
-    rep_arr = np.array(left.reps, dtype=np.int64)
-    mul = proj[G.mul[np.ix_(rep_arr, rep_arr)]]
-    Q = GroupTable(mul, provenance=f"quotient({G.provenance}/N{N.order})")
-    if not np.array_equal(proj[G.mul], Q.mul[proj[:, None], proj[None, :]]):
+    reps = np.array(left.reps, dtype=np.int64)
+    mul = proj[G.mul[np.ix_(reps, reps)]]
+    # proj is onto and maps 0 to 0, so once it is a homomorphism the table
+    # is G's image: a group with identity 0 and inverses proj[inv[reps]]
+    if not np.array_equal(proj[G.mul], mul[proj[:, None], proj[None, :]]):
         raise VerificationError("projection is not a homomorphism")
-    Q._source = (G, proj, N)
+    Q = GroupTable._derived(mul, proj[G.inv[reps]],
+                            f"quotient({G.provenance}/N{N.order})", (G, reps, N))
     return Q, proj
 
 
 def subgroup_as_group(G: GroupTable, H: Subgroup) -> GroupTable:
     """H reindexed as a standalone GroupTable (element i is H.elems[i])."""
     arr = H.elem_array
-    pos = np.full(G.order, -1, dtype=np.int64)
+    pos = np.full(G.order, -1, dtype=np.int32)
     pos[arr] = np.arange(H.order)
-    pos.setflags(write=False)
     mul = pos[G.mul[np.ix_(arr, arr)]]
-    Hg = GroupTable(mul, provenance=f"subgroup(order={H.order} of {G.provenance})")
-    Hg._source = (G, pos, trivial_subgroup(G))
-    return Hg
+    # a closed subset of a finite group is a subgroup: it holds 0 (its least
+    # element) and the inverses, and G's associativity carries over
+    if mul.min() < 0:
+        raise ParameterError("element set is not closed under multiplication")
+    return GroupTable._derived(mul, pos[G.inv[arr]],
+                               f"subgroup(order={H.order} of {G.provenance})",
+                               (G, arr, trivial_subgroup(G)))
 
 
 # ---------------------------------------------------------------------------

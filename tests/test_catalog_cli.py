@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 import re
 import sys
@@ -11,6 +13,23 @@ from tpcalc import cli
 from tpcalc import group_core as gc
 from tpcalc import tp_engine as te
 from tpcalc.errors import FormatError, ParameterError
+
+
+# sha256 of the builtin scan report's entries with every `millis` removed.
+# Speed work keeps it; a change to it is a change of an answer.
+BUILTIN_SCAN_DIGEST = "2dfd75e757769c559e9cfa80d1b2e8d4696b42ee47791581318f07e6cbfbb5ef"
+
+
+def entries_digest(report: dict) -> str:
+    def strip(obj):
+        if isinstance(obj, dict):
+            return {k: strip(v) for k, v in obj.items() if k != "millis"}
+        if isinstance(obj, list):
+            return [strip(v) for v in obj]
+        return obj
+
+    text = json.dumps(strip(report["entries"]), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestBuilderGrammar:
@@ -180,6 +199,7 @@ class TestScan:
         assert len(report["entries"]) == len(catalog_entries)
         assert all("error" not in row and "skipped" not in row
                    for row in report["entries"])
+        assert entries_digest(report) == BUILTIN_SCAN_DIGEST
 
     def test_each_check_family_runs_once_per_group(self, small_catalog, monkeypatch):
         calls = {"structure": Counter(), "classification": Counter()}
@@ -238,6 +258,17 @@ class TestScan:
         text = (tmp_path / "r.csv").read_text()
         assert text.splitlines()[0].startswith("group,order,tp")
         assert any(line.startswith("s3,6,1/2") for line in text.splitlines())
+
+    def test_csv_quotes_commas_and_quotes(self, tmp_path):
+        entries = [cat.CatalogEntry(id="a,b", builder="cyclic 2"),
+                   cat.CatalogEntry(id='c"d', builder="cyclic 3"),
+                   cat.CatalogEntry(id="e", builder="cyclic 0")]
+        report, _ = cat.scan_and_report(entries, checks=["expected-values"])
+        rows = list(csv.reader(cat.report_to_csv(report).splitlines()))
+        assert all(len(row) == 7 for row in rows)
+        assert [row[0] for row in rows] == ["group", "a,b", 'c"d', "e"]
+        assert [row[1:3] for row in rows[1:3]] == [["2", "1/1"], ["3", "1/1"]]
+        assert rows[3][5] == report["entries"][2]["error"]
 
 
 class TestCache:

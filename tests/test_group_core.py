@@ -131,6 +131,20 @@ def assert_lattice_is_the_reference(lat: gc.Lattice, G: gc.GroupTable, subs, lab
     assert [s.elems for s in lat.normal] == [k for k in subs if k in alone], label
 
 
+def derived_tables(zoo):
+    """(label, table) for every quotient G/N, subgroup table H (one per
+    class) and section H/N of the zoo."""
+    for name, G in zoo.items():
+        lat = gc.lattice(G)
+        for N in lat.normal:
+            yield (name, "G/N", N.elems), gc.quotient_group(G, N)[0]
+        for cls in lat.classes:
+            H = gc.subgroup_as_group(G, cls[0])
+            yield (name, "H", cls[0].elems), H
+            for N in gc.lattice(H).normal:
+                yield (name, "H/N", cls[0].elems, N.elems), gc.quotient_group(H, N)[0]
+
+
 def relabelling(n: int, seed: int) -> np.ndarray:
     """The permutation of 0..n-1 by which `relabelled` moves each element."""
     return np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(n - 1)])
@@ -502,8 +516,7 @@ class TestLattice:
         Of about 1,100 tables only about 50 differ, so each distinct table is
         enumerated once."""
         fresh = {}
-
-        def check(X, label):
+        for label, X in derived_tables(zoo):
             assert X._source is not None, label
             got = gc.lattice(X)
             key = X.mul.tobytes()
@@ -515,15 +528,34 @@ class TestLattice:
                     == [[s.elems for s in c] for c in want.classes]), label
             assert [s.elems for s in got.normal] == [s.elems for s in want.normal], label
 
+
+class TestDerivedTables:
+    """Subgroup and quotient tables are built without the group-axiom checks
+    and their lattices without the closure check; the checks they skip
+    accept every one of them and agree with what was built. A non-normal N
+    is refused in TestQuotients."""
+
+    def test_full_validation_agrees(self, zoo):
+        for label, X in derived_tables(zoo):
+            Y = gc.GroupTable(X.mul)
+            assert np.array_equal(Y.inv, X.inv), label
+            assert Y.minimal_generators == X.minimal_generators, label
+            assert Y.generator_chain_sizes == X.generator_chain_sizes, label
+
+    def test_lattice_members_pass_the_closure_check(self, zoo):
+        for label, X in derived_tables(zoo):
+            for s in gc.lattice(X).subgroups:
+                assert gc.Subgroup(X, s.elems) == s, label
         for name, G in zoo.items():
-            lat = gc.lattice(G)
-            for N in lat.normal:
-                check(gc.quotient_group(G, N)[0], (name, "G/N", N.elems))
-            for cls in lat.classes:
-                H = gc.subgroup_as_group(G, cls[0])
-                check(H, (name, "H", cls[0].elems))
-                for N in gc.lattice(H).normal:
-                    check(gc.quotient_group(H, N)[0], (name, "H/N", cls[0].elems, N.elems))
+            for s in gc.lattice(G).subgroups:
+                assert gc.Subgroup(G, s.elems) == s, name
+
+    def test_non_closed_set_is_refused(self, zoo):
+        s3 = zoo["s3"]
+        mask = np.zeros(s3.order, dtype=bool)
+        mask[[0, 1]] = True  # 1 is a rotation of order 3
+        with pytest.raises(ParameterError, match="not closed"):
+            gc.subgroup_as_group(s3, gc.Subgroup._of_mask(s3, mask))
 
 
 class TestLatticeOracle:
@@ -723,6 +755,11 @@ class TestQuotients:
         refl = gc.subgroup_generated(s3, [next(x for x in range(6) if s3.element_orders[x] == 2)])
         with pytest.raises(NormalityError):
             gc.quotient_group(s3, refl)
+        for name, G in zoo.items():
+            for cls in gc.lattice(G).classes:
+                if len(cls) > 1:
+                    with pytest.raises(NormalityError):
+                        gc.quotient_group(G, cls[-1])
 
 
 class TestIsomorphism:
