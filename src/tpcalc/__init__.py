@@ -48,7 +48,6 @@ from .group_core import (
 from .coset_graph import (
     Component,
     CosetGraph,
-    TVector,
     build_coset_graph,
     frobenius_s2_check,
     s_bounds_check,

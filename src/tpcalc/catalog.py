@@ -22,14 +22,8 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .errors import FormatError, ParameterError, SizeLimitError, TpcalcError, VerificationError
-from .group_core import (
-    SUBGROUP_ORDER_CAP,
-    GroupTable,
-    action_by_inversion,
-    cyclic,
-    lattice,
-)
-from .presets import _Parser, _tokenize, build_group, read_input
+from .group_core import SUBGROUP_ORDER_CAP, GroupTable, lattice
+from .presets import build_group, product_factors, read_input
 from .transversal import bounds_report
 from .tp_engine import (
     TheoremVerdict,
@@ -235,29 +229,15 @@ def _bounds_check(entry: CatalogEntry, G: GroupTable) -> list[TheoremVerdict]:
 
 
 def _extension_check(entry: CatalogEntry, G: GroupTable) -> list[TheoremVerdict]:
-    tokens = _tokenize(entry.builder)
-    if tokens and tokens[0] == "cpc2":
-        # the dihedral-like family is itself a split extension
-        p, k = int(tokens[1]), int(tokens[2])
-        base, top = cyclic(p), cyclic(2**k)
-        verdict = semidirect_extension_check(
-            base, top, action_by_inversion(base, top), entry.id, product=G)
-        return [TheoremVerdict("extension-bound", entry.id, True,
-                               verdict.conclusion_holds, details=verdict.details)]
-    if not tokens or tokens[0] not in ("dp", "sdp"):
+    factors = product_factors(entry.builder, entry.base_dir)
+    if factors is None:
         return [TheoremVerdict("extension-bound", entry.id, False, True,
                                details={"note": "not a product builder"})]
-    parser = _Parser(tokens, entry.base_dir)
-    head = parser.take()
-    if head == "dp":
-        A = parser.group_arg()
-        B = parser.group_arg()
+    A, B, action = factors
+    if action is None:
         verdict = direct_extension_check([A, B], entry.id, product=G)
     else:
-        A = parser.group_arg()
-        K = parser.group_arg()
-        action = parser.action_arg(A, K)
-        verdict = semidirect_extension_check(A, K, action, entry.id, product=G)
+        verdict = semidirect_extension_check(A, B, action, entry.id, product=G)
     return [TheoremVerdict("extension-bound", entry.id, verdict.hypothesis_holds,
                            verdict.conclusion_holds, details=verdict.details)]
 

@@ -111,7 +111,7 @@ def cmd_pg(args) -> int:
     graph = build_coset_graph(G, H, K)
     value = p_g(G, H, K, graph=graph)
     print(f"P = {value.numerator}/{value.denominator}")
-    print(f"t-vector {tuple(graph.t_vector)}  s {graph.s}  m {graph.m}")
+    print(f"t-vector {graph.t_vector}  s {graph.s}  m {graph.m}")
     if args.bounds:
         rpt = bounds_report(G, H, K)
         payload = {
@@ -159,7 +159,7 @@ def cmd_graph(args) -> int:
         lines.append("}")
         print("\n".join(lines))
     else:
-        print(f"components {graph.s}  trivial {graph.m}  t-vector {tuple(graph.t_vector)}")
+        print(f"components {graph.s}  trivial {graph.m}  t-vector {graph.t_vector}")
     return EXIT_OK
 
 
@@ -211,7 +211,9 @@ def cmd_nt(args) -> int:
         return EXIT_OK if rpt.prime_uniqueness_holds else EXIT_VERIFICATION
     # bounds table
     n = args.n
-    svals = [args.s] if args.s else list(range(1, n + 1))
+    if n < 1 or (args.s is not None and not 1 <= args.s <= n):
+        raise ParameterError(f"bounds need n >= 1 and 1 <= s <= n, got n {n}, s {args.s}")
+    svals = [args.s] if args.s is not None else list(range(1, n + 1))
     print(f"c = {bound_constant_c():.9f}")
     print(f"{'s':>4}  {'n!/n^n<=':>14}  {'((n+s)/2n)^n':>14}  {'f(n/s)^s':>14}  "
           f"{'gamma_vs_ams':>12}")

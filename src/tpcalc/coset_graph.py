@@ -28,29 +28,6 @@ from .group_core import (
 
 
 @dataclass(frozen=True)
-class TVector:
-    """Component sizes of a coset intersection graph, sorted decreasingly."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(t < 1 for t in self.entries):
-            raise PreconditionError("component sizes must be positive")
-        if list(self.entries) != sorted(self.entries, reverse=True):
-            raise PreconditionError("entries must be sorted decreasingly")
-
-    @property
-    def n(self) -> int:
-        return sum(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
 class Component:
     """One connected component: a complete bipartite block of equal-weight edges."""
 
@@ -73,23 +50,24 @@ class CosetGraph:
     m: int
 
     @cached_property
-    def t_vector(self) -> TVector:
-        return TVector(tuple(sorted((c.t for c in self.components), reverse=True)))
+    def t_vector(self) -> tuple[int, ...]:
+        """The component sizes, sorted decreasingly."""
+        return tuple(sorted((c.t for c in self.components), reverse=True))
 
 
 def build_coset_graph(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> CosetGraph:
     """Assemble the graph for (G, H, K), one component per (K,H)-double coset.
 
     W[i, j] = |l_i H meet K r_j|. Each left coset l_i H and each right coset
-    K r_j lies inside one double coset, its block. The checks: no coset
-    straddles two blocks; W is zero between blocks; inside each block W is a
-    positive constant w, the block has t left and t right cosets, w * t = |H|
-    and t divides |K|; the trivial-component count matches the
-    conjugator-counting formula. Zero between blocks and positive within them
-    make the blocks exactly the components, and every coset lies in one
-    block, so there are as many components as double cosets and their sizes
-    t sum to the index. A merged block leaves a zero inside it; a split one
-    leaves a coset straddling two blocks, and an edge between them.
+    K r_j lies inside one double coset, its block. The checks, each one array
+    step: no coset straddles two blocks; W is zero between blocks; w * t = |H|
+    on every cell of a block of t left cosets; the trivial-component count
+    matches the conjugator-counting formula. So W is the positive constant
+    |H|/t inside a block, and the blocks are the components. A block of t left
+    and t' right cosets has t|H| = t'|K| elements, so t = t': each component
+    is balanced, and t divides |K| = |H| = w * t. A merged block leaves a zero
+    inside it; a split one leaves a coset straddling two blocks, and an edge
+    between them.
     """
     if K is None:
         K = H
@@ -113,37 +91,27 @@ def build_coset_graph(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> 
     if not (np.array_equal(lblock[left.ids], block_of)
             and np.array_equal(rblock[right.ids], block_of)):
         raise VerificationError("a coset straddles two double cosets")
-    if W[lblock[:, None] != rblock[None, :]].any():
+    on_block = lblock[:, None] == rblock[None, :]
+    if W[~on_block].any():
         raise VerificationError("cosets in different double cosets intersect")
-    components = []
-    for b in np.unique(block_of).tolist():
-        lefts = np.flatnonzero(lblock == b)
-        rights = np.flatnonzero(rblock == b)
-        if len(lefts) != len(rights):
-            raise VerificationError("component is not balanced bipartite")
-        sub = W[np.ix_(lefts, rights)]
-        w = int(sub[0, 0])
-        if w <= 0 or not (sub == w).all():
-            raise VerificationError("component is not complete with constant weight")
-        t = len(lefts)
-        if w * t != H.order:
-            raise VerificationError("weight * size != |H| in a component")
-        if K.order % t != 0:
-            raise VerificationError("component size does not divide |K|")
-        components.append(Component(
-            left_vertices=tuple(lreps[i] for i in lefts),
-            right_vertices=tuple(rreps[j] for j in rights),
-            t=t,
-            weight=w,
-        ))
+    t = np.bincount(lblock)  # left cosets per block
+    if not (W * t[lblock][:, None] == H.order)[on_block].all():
+        raise VerificationError("component is not complete with constant weight")
 
-    s = len(components)
-    m = sum(1 for c in components if c.t == 1)
+    # group the cosets by block, reps ascending within each (the ids already are)
+    lsorted = [lreps[i] for i in np.argsort(lblock, kind="stable").tolist()]
+    rsorted = [rreps[j] for j in np.argsort(rblock, kind="stable").tolist()]
+    t = t[t > 0].tolist()  # a block id that no coset carries is no component
+    components = tuple(
+        Component(left_vertices=tuple(lsorted[end - k:end]),
+                  right_vertices=tuple(rsorted[end - k:end]), t=k, weight=H.order // k)
+        for k, end in zip(t, np.cumsum(t).tolist()))
+    m = t.count(1)
     m_formula = conjugator_count(G, H, K) // H.order
     if m != m_formula:
         raise VerificationError(f"trivial-component count {m} != formula value {m_formula}")
     return CosetGraph(parent=G, H=H, K=K, n=n, left_reps=lreps, right_reps=rreps,
-                      components=tuple(components), s=s, m=m)
+                      components=components, s=len(t), m=m)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ class BudgetError(SizeLimitError):
     """An enumeration exceeded its configured work budget."""
 
 
-class ActionError(TpcalcError, ValueError):
-    """A semidirect-product action failed homomorphism/automorphism validation."""
+class ActionError(ParameterError):
+    """A semidirect-product action failed homomorphism/automorphism validation.
+    The action is named in the builder expression, so this is bad input."""
 
 
 class NormalityError(PreconditionError):

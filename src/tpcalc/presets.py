@@ -196,12 +196,9 @@ class _Parser:
             return field_frobenius(self.take_int())
         if name == "elemab":
             return elementary_abelian(self.take_int(), self.take_int())
-        if name == "dp":
-            return direct_product(self.group_arg(), self.group_arg())
-        if name == "sdp":
-            G = self.group_arg()
-            K = self.group_arg()
-            return semidirect_product(G, K, self.action_arg(G, K))
+        if name in ("dp", "sdp"):
+            A, B, action = self.product_factors(name)
+            return direct_product(A, B) if action is None else semidirect_product(A, B, action)
         if name == "perm":
             degree = self.take_int()
             text = read_input(self.base_dir / self.take())
@@ -214,6 +211,16 @@ class _Parser:
         if name in _NAMED:
             return _NAMED[name]()
         raise FormatError(f"unknown builder {name!r}")
+
+    def product_factors(self, name: str):
+        """The factors after a product builder's name: (A, B, None) for
+        `dp (A) (B)`, (base, top, action) for `sdp` and for `cpc2 p k`, which
+        is C_p extended by C_{2^k} acting by inversion."""
+        if name == "cpc2":
+            base, top = cyclic(self.take_int()), cyclic(2 ** self.take_int())
+            return base, top, action_by_inversion(base, top)
+        A, B = self.group_arg(), self.group_arg()
+        return A, B, (self.action_arg(A, B) if name == "sdp" else None)
 
     def action_arg(self, G: GroupTable, K: GroupTable):
         name = self.take()
@@ -245,12 +252,24 @@ def _plane_prime(G: GroupTable) -> int:
     return p
 
 
-def build_group(expr: str, base_dir: Path | str = ".") -> GroupTable:
+def _parse(expr: str, base_dir: Path | str, rule: Callable[[_Parser], object]):
     parser = _Parser(_tokenize(expr), Path(base_dir))
-    G = parser.expression()
+    result = rule(parser)
     if parser.peek() is not None:
         raise FormatError(f"trailing tokens in builder expression: {parser.tokens[parser.pos:]}")
-    return G
+    return result
+
+
+def build_group(expr: str, base_dir: Path | str = ".") -> GroupTable:
+    return _parse(expr, base_dir, _Parser.expression)
+
+
+def product_factors(expr: str, base_dir: Path | str = "."):
+    """How a `dp`, `sdp` or `cpc2` expression builds its group, as
+    `_Parser.product_factors` gives it; None for any other expression."""
+    if _tokenize(expr)[:1] not in (["dp"], ["sdp"], ["cpc2"]):
+        return None
+    return _parse(expr, base_dir, lambda parser: parser.product_factors(parser.take()))
 
 
 @lru_cache(maxsize=None)

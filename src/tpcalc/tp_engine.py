@@ -108,7 +108,7 @@ def _compute_tp(G: GroupTable, cap: int) -> TpResult:
         else:
             graph = build_coset_graph(G, rep)
             value = p_g(G, rep, graph=graph)
-            tvec = tuple(graph.t_vector)
+            tvec = graph.t_vector
             if best is None or value < best:
                 best = value
                 attaining = [rep]

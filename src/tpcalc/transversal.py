@@ -22,7 +22,7 @@ from .arith_nt import (
     product_of_ratios,
     prop_gamma_vs_amgm_holds,
 )
-from .coset_graph import CosetGraph, TVector, build_coset_graph
+from .coset_graph import CosetGraph, build_coset_graph
 from .errors import (
     BudgetError,
     ParameterError,
@@ -37,7 +37,7 @@ ENUMERATION_BUDGET = 10**6
 GAMMA_REL_TOL = 1e-9
 
 
-def p_from_tvector(t: TVector | Sequence[int]) -> Fraction:
+def p_from_tvector(t: Sequence[int]) -> Fraction:
     """The exact probability determined by component sizes: the product of
     t!/t^t over the entries."""
     entries = tuple(t)

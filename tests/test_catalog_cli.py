@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import sys
+import textwrap
 from collections import Counter
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ import pytest
 from tpcalc import catalog as cat
 from tpcalc import cli
 from tpcalc import group_core as gc
+from tpcalc import presets
 from tpcalc import tp_engine as te
 from tpcalc.errors import FormatError, ParameterError
 
@@ -79,6 +81,20 @@ class TestBuilderGrammar:
             cat.build_group("cyclic 3 4")  # trailing tokens
         with pytest.raises(FormatError):
             cat.build_group("sdp (cyclic 3) (cyclic 2) twist")
+
+    @pytest.mark.parametrize("expr", ["dp (dihedral 3) (cyclic 5)", "cpc2 5 2",
+                                      "sdp (cyclic 7) (cyclic 3) pow 2"])
+    def test_product_factors_rebuild_the_group(self, expr):
+        A, B, action = presets.product_factors(expr)
+        built = (gc.direct_product(A, B) if action is None
+                 else gc.semidirect_product(A, B, action))
+        assert (built.mul == cat.build_group(expr).mul).all()
+
+    def test_product_factors_of_other_expressions(self):
+        assert presets.product_factors("dihedral 3") is None
+        assert presets.product_factors("") is None
+        with pytest.raises(FormatError):
+            presets.product_factors("dp (cyclic 2) (cyclic 3) (cyclic 4)")
 
 
 class TestCatalog:
@@ -459,6 +475,98 @@ class TestExtensionBound:
         assert checked == 19
 
 
+# Outputs captured before the coset graph was checked in whole-array steps.
+# Their line order pins the component order: blocks by id, reps ascending.
+GOLDEN_OUTPUTS = {
+    "dihedral 6 dot": (["graph", "dihedral 6", "--subgroup", "6", "--dot"], """\
+    graph coset_intersection {
+      L0 [label="L0:0"];
+      L1 [label="L1:1"];
+      L2 [label="L2:2"];
+      L3 [label="L3:3"];
+      L4 [label="L4:4"];
+      L5 [label="L5:5"];
+      R0 [label="R0:0"];
+      R1 [label="R1:1"];
+      R2 [label="R2:2"];
+      R3 [label="R3:3"];
+      R4 [label="R4:4"];
+      R5 [label="R5:5"];
+      L0 -- R0 [weight=2];
+      L1 -- R1 [weight=1];
+      L1 -- R5 [weight=1];
+      L5 -- R1 [weight=1];
+      L5 -- R5 [weight=1];
+      L2 -- R2 [weight=1];
+      L2 -- R4 [weight=1];
+      L4 -- R2 [weight=1];
+      L4 -- R4 [weight=1];
+      L3 -- R3 [weight=2];
+    }
+"""),
+    "dihedral 6 dot right 7": (["graph", "dihedral 6", "--subgroup", "6", "--right", "7",
+                                "--dot"], """\
+    graph coset_intersection {
+      L0 [label="L0:0"];
+      L1 [label="L1:1"];
+      L2 [label="L2:2"];
+      L3 [label="L3:3"];
+      L4 [label="L4:4"];
+      L5 [label="L5:5"];
+      R0 [label="R0:0"];
+      R1 [label="R1:1"];
+      R2 [label="R2:2"];
+      R3 [label="R3:3"];
+      R4 [label="R4:4"];
+      R5 [label="R5:5"];
+      L0 -- R0 [weight=1];
+      L0 -- R5 [weight=1];
+      L5 -- R0 [weight=1];
+      L5 -- R5 [weight=1];
+      L1 -- R1 [weight=1];
+      L1 -- R4 [weight=1];
+      L4 -- R1 [weight=1];
+      L4 -- R4 [weight=1];
+      L2 -- R2 [weight=1];
+      L2 -- R3 [weight=1];
+      L3 -- R2 [weight=1];
+      L3 -- R3 [weight=1];
+    }
+"""),
+    "a4 bounds": (["pg", "a4", "--subgroup", "1", "--bounds"], """\
+    P = 2/9
+    t-vector (3, 1)  s 2  m 1
+    {
+      "all_hold": true,
+      "lower_factorial": {
+        "den": "9",
+        "num": "2"
+      },
+      "m": 1,
+      "n": 4,
+      "p": {
+        "den": "9",
+        "num": "2"
+      },
+      "s": 2,
+      "upper_ams": {
+        "den": "256",
+        "num": "81"
+      },
+      "upper_gamma": GAMMA,
+      "upper_half_power": {
+        "den": "2",
+        "num": "1"
+      },
+      "upper_seven_eighths": {
+        "den": "4096",
+        "num": "2401"
+      }
+    }
+"""),
+}
+
+
 class TestCli:
     def test_tp_command(self, capsys):
         code = cli.main(["tp", "dihedral 4"])
@@ -478,6 +586,19 @@ class TestCli:
         assert code == 0
         assert "graph coset_intersection {" in out
         assert re.search(r"L\d+ -- R\d+ \[weight=\d+\];", out)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
+    def test_golden_output(self, capsys, name):
+        args, golden = GOLDEN_OUTPUTS[name]
+        assert cli.main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        want = textwrap.dedent(golden).splitlines()
+        for k, line in enumerate(want):
+            if "GAMMA" in line:  # a float from lgamma: pinned to its exact value 1/4
+                got = float(lines[k].split(":")[1].rstrip(","))
+                assert got == pytest.approx(0.25, rel=1e-12)
+                lines[k] = line
+        assert lines == want
 
     @pytest.mark.parametrize("command", ["pg", "graph"])
     @pytest.mark.parametrize("flag", ["--subgroup", "--right"])
@@ -533,6 +654,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "c = 0.976986" in out
 
+    @pytest.mark.parametrize("args", [["--n", "0"], ["--n", "5", "--s", "0"],
+                                      ["--n", "5", "--s", "9"]])
+    def test_nt_bounds_rejects_n_and_s_out_of_range(self, capsys, args):
+        assert cli.main(["nt", "bounds", *args]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error" in captured.err
+
     def test_verify_builtin_subset(self, capsys, tmp_path):
         path = tmp_path / "mini.tsv"
         path.write_text("s3\tdihedral 3\nq8\tquaternion 8\n")
@@ -553,6 +682,23 @@ class TestCli:
             cli.main(["tp"])  # missing group argument
         assert exc.value.code == 2
         assert cli.main(["tp", "cyclic x"]) == cli.EXIT_USAGE
+
+    def test_bad_action_is_a_usage_error(self, capsys):
+        # 2 has order 4 mod 5, so `pow 2` is no action of C3
+        assert cli.main(["tp", "sdp (cyclic 5) (cyclic 3) pow 2"]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error: action is not a right-action homomorphism" in captured.err
+
+    def test_bad_action_in_a_catalog_is_an_error_row(self, capsys, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("fine\tdihedral 3\nbad\tsdp (cyclic 5) (cyclic 3) pow 2\n")
+        report, ok = cat.scan_and_report(cat.catalog_build(path),
+                                         checks=["expected-values"])
+        assert not ok
+        rows = {row["group"]: row for row in report["entries"]}
+        assert "error" not in rows["fine"]
+        assert "right-action homomorphism" in rows["bad"]["error"]
 
     @pytest.mark.parametrize("args", [["tp", "perm 6 nosuch.txt"],
                                       ["tp", "--table", "nosuch.txt"],

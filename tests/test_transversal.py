@@ -68,7 +68,7 @@ class TestPFromTvector:
         assert tv.p_from_tvector([1] * 7) == 1
 
     def test_two_one(self):
-        assert tv.p_from_tvector(cg.TVector((2, 1))) == Fraction(1, 2)
+        assert tv.p_from_tvector((2, 1)) == Fraction(1, 2)
 
     def test_three_one(self):
         assert tv.p_from_tvector((3, 1)) == Fraction(2, 9)
