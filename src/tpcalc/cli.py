@@ -51,9 +51,11 @@ EXIT_RESOURCE = 3
 
 
 def _group_from_args(args) -> GroupTable:
+    """The group the command names. A `perm` closure stops once it passes
+    --cap-order, before its table is built."""
     if getattr(args, "table", None):
         return read_cayley_table(read_input(args.table))
-    return build_group(args.group, base_dir=".")
+    return build_group(args.group, base_dir=".", cap=args.cap_order)
 
 
 def _subgroup_from_csv(G, text: str) -> Subgroup:
@@ -253,6 +255,8 @@ def make_parser() -> argparse.ArgumentParser:
                            "(empty or 0: the trivial subgroup)")
     p_pg.add_argument("--right", help="generator indices for K (default: H)")
     p_pg.add_argument("--bounds", action="store_true", help="print the bounds report")
+    p_pg.add_argument("--cap-order", type=int, default=SUBGROUP_ORDER_CAP,
+                      help="refuse a perm closure of more elements")
     p_pg.set_defaults(func=cmd_pg)
 
     p_tp = sub.add_parser("tp", help="minimum probability over all subgroups")
@@ -265,6 +269,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_gr.add_argument("--subgroup", required=True)
     p_gr.add_argument("--right")
     p_gr.add_argument("--dot", action="store_true", help="emit DOT format")
+    p_gr.add_argument("--cap-order", type=int, default=SUBGROUP_ORDER_CAP,
+                      help="refuse a perm closure of more elements")
     p_gr.set_defaults(func=cmd_graph)
 
     p_ver = sub.add_parser("verify", help="run one theorem check over a catalog")

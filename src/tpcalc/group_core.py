@@ -624,6 +624,14 @@ def from_permutation_generators(degree: int, generators: Sequence[Sequence[int]]
 
     Elements are indexed in breadth-first discovery order, identity first;
     permutations compose left-to-right (apply the left factor, then the right).
+
+    The table comes from the right Schreier graph the search walks: it
+    records moves[k, x], the index of elems[x]*gens[k], and for each new
+    element j the element p and generator k it was reached from, so
+    elems[j] = elems[p]*gens[k]. Then a*elems[j] = (a*elems[p])*gens[k] for
+    every a, so column j of the table is moves[k] gathered at column p. The
+    search fails once it finds more than `cap` elements, before any table is
+    allocated.
     """
     ident = tuple(range(degree))
     gens = []
@@ -634,22 +642,25 @@ def from_permutation_generators(degree: int, generators: Sequence[Sequence[int]]
         gens.append(t)
     elems: list[tuple[int, ...]] = [ident]
     pos = {ident: 0}
-    head = 0
-    while head < len(elems):
-        cur = elems[head]
-        head += 1
-        for g in gens:
-            nxt = tuple(g[c] for c in cur)
-            if nxt not in pos:
+    moves: list[list[int]] = [[] for _ in gens]
+    tree: list[tuple[int, int]] = []  # (p, k) for elements 1, 2, ...
+    for p, cur in enumerate(elems):  # the loop sees the elements appended below
+        for k, g in enumerate(gens):
+            nxt = tuple(map(g.__getitem__, cur))
+            j = pos.get(nxt)
+            if j is None:
                 if len(elems) >= cap:
                     raise SizeLimitError(f"closure exceeded {cap} elements")
-                pos[nxt] = len(elems)
+                j = pos[nxt] = len(elems)
                 elems.append(nxt)
+                tree.append((p, k))
+            moves[k].append(j)
     n = len(elems)
-    mul = np.zeros((n, n), dtype=np.int64)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            mul[i, j] = pos[tuple(b[x] for x in a)]
+    moves_arr = np.array(moves, dtype=np.int32).reshape(len(gens), n)
+    mul = np.empty((n, n), dtype=np.int32)
+    mul[:, 0] = np.arange(n, dtype=np.int32)
+    for j, (p, k) in enumerate(tree, start=1):
+        mul[:, j] = moves_arr[k, mul[:, p]]
     gen_desc = ";".join(",".join(map(str, g)) for g in gens)
     return GroupTable(mul, provenance=f"perm(degree={degree},gens=[{gen_desc}])")
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import FormatError, VerificationError
 from .group_core import (
+    CLOSURE_ELEMENT_CAP,
     GroupTable,
     action_by_generator_power,
     action_by_inversion,
@@ -150,10 +151,12 @@ def read_input(path: Path | str) -> str:
 
 
 class _Parser:
-    def __init__(self, tokens: list[str], base_dir: Path):
+    def __init__(self, tokens: list[str], base_dir: Path, cap: int):
         self.tokens = tokens
         self.pos = 0
         self.base_dir = base_dir
+        # the most elements a `perm` closure may reach before it is refused
+        self.cap = cap
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -205,7 +208,7 @@ class _Parser:
             file_degree, gens = read_permutation_generators(text)
             if file_degree != degree:
                 raise FormatError(f"declared degree {degree} != file degree {file_degree}")
-            return from_permutation_generators(degree, gens)
+            return from_permutation_generators(degree, gens, cap=self.cap)
         if name == "table":
             return read_cayley_table(read_input(self.base_dir / self.take()))
         if name in _NAMED:
@@ -252,16 +255,20 @@ def _plane_prime(G: GroupTable) -> int:
     return p
 
 
-def _parse(expr: str, base_dir: Path | str, rule: Callable[[_Parser], object]):
-    parser = _Parser(_tokenize(expr), Path(base_dir))
+def _parse(expr: str, base_dir: Path | str, rule: Callable[[_Parser], object],
+           cap: int = CLOSURE_ELEMENT_CAP):
+    parser = _Parser(_tokenize(expr), Path(base_dir), cap)
     result = rule(parser)
     if parser.peek() is not None:
         raise FormatError(f"trailing tokens in builder expression: {parser.tokens[parser.pos:]}")
     return result
 
 
-def build_group(expr: str, base_dir: Path | str = ".") -> GroupTable:
-    return _parse(expr, base_dir, _Parser.expression)
+def build_group(expr: str, base_dir: Path | str = ".",
+                cap: int = CLOSURE_ELEMENT_CAP) -> GroupTable:
+    """The group `expr` names; a `perm` closure that finds more than `cap`
+    elements raises SizeLimitError before its table is allocated."""
+    return _parse(expr, base_dir, _Parser.expression, cap)
 
 
 def product_factors(expr: str, base_dir: Path | str = "."):

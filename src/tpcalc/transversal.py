@@ -177,21 +177,28 @@ def _ryser_vectorised(A: np.ndarray) -> int:
     n = A.shape[0]
     lo = min(n, 14)
     hi = n - lo
-    lo_bits = ((np.arange(1 << lo)[:, None] >> np.arange(lo)[None, :]) & 1).astype(np.int64)
-    r_lo = lo_bits @ A.T[:lo]  # subset-of-low-columns row sums, shape (2^lo, n)
+    r_lo = _subset_row_sums(A[:, :lo])  # subset-of-low-columns row sums, shape (2^lo, n)
     par_lo = _parity_signs(1 << lo)
     total = 0
     if hi == 0:
         prods = np.multiply.reduce(r_lo, axis=1)
         total = int(np.dot(par_lo, prods))
     else:
-        hi_bits = ((np.arange(1 << hi)[:, None] >> np.arange(hi)[None, :]) & 1).astype(np.int64)
-        r_hi = hi_bits @ A.T[lo:]
+        r_hi = _subset_row_sums(A[:, lo:])
         par_hi = _parity_signs(1 << hi)
         for h in range(1 << hi):
             prods = np.multiply.reduce(r_lo + r_hi[h], axis=1)
             total += int(par_hi[h]) * int(np.dot(par_lo, prods))
     return int((-1) ** n * total)
+
+
+def _subset_row_sums(cols: np.ndarray) -> np.ndarray:
+    """Row i is the sum of the columns of `cols` whose bit is set in i:
+    each doubling appends the sums so far plus the next column."""
+    sums = np.zeros((1, cols.shape[0]), dtype=np.int64)
+    for b in range(cols.shape[1]):
+        sums = np.concatenate((sums, sums + cols[:, b]))
+    return sums
 
 
 def _parity_signs(count: int) -> np.ndarray:

@@ -723,6 +723,27 @@ class TestCli:
         code = cli.main(["group", action, "dihedral 12", "--cap-order", "10"])
         assert code == cli.EXIT_RESOURCE
 
+    @pytest.mark.parametrize("head, tail", [(["group", "make"], []), (["tp"], []),
+                                            (["pg"], ["--subgroup", "1"]),
+                                            (["graph"], ["--subgroup", "1"])])
+    def test_perm_closure_stops_at_the_default_cap(self, capsys, tmp_path, monkeypatch,
+                                                   head, tail):
+        """S7 (order 5040) is refused after 257 elements, before its table
+        is allocated: the builder gets --cap-order as its closure cap."""
+        path = tmp_path / "s7.txt"
+        path.write_text(gc.write_permutation_generators(
+            7, [(1, 2, 3, 4, 5, 6, 0), (1, 0, 2, 3, 4, 5, 6)]))
+        caps = []
+
+        def closure(degree, gens, cap=gc.CLOSURE_ELEMENT_CAP):
+            caps.append(cap)
+            return gc.from_permutation_generators(degree, gens, cap)
+
+        monkeypatch.setattr(presets, "from_permutation_generators", closure)
+        assert cli.main([*head, f"perm 7 {path}", *tail]) == cli.EXIT_RESOURCE
+        assert caps == [256] == [gc.SUBGROUP_ORDER_CAP]
+        assert "closure exceeded 256 elements" in capsys.readouterr().err
+
     def test_exit_code_verification_failure(self, capsys, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("broken\tcyclic 0\n")

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tpcalc import coset_graph as cg
@@ -157,6 +157,43 @@ def relabelled(G: gc.GroupTable, seed: int) -> gc.GroupTable:
     mul = np.empty_like(G.mul)
     mul[np.ix_(perm, perm)] = perm[G.mul]
     return gc.GroupTable(mul)
+
+
+def composed_table(degree: int, generators) -> tuple[np.ndarray, str]:
+    """Reference permutation-group builder: the same breadth-first closure,
+    then every product a*b composed as a tuple (apply a, then b) and looked
+    up by value. Returns the table and the provenance the builder gives."""
+    gens = [tuple(int(x) for x in g) for g in generators]
+    elems = [tuple(range(degree))]
+    pos = {elems[0]: 0}
+    head = 0
+    while head < len(elems):
+        cur = elems[head]
+        head += 1
+        for g in gens:
+            nxt = tuple(g[c] for c in cur)
+            if nxt not in pos:
+                pos[nxt] = len(elems)
+                elems.append(nxt)
+    n = len(elems)
+    mul = np.zeros((n, n), dtype=np.int64)
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            mul[i, j] = pos[tuple(b[x] for x in a)]
+    gen_desc = ";".join(",".join(map(str, g)) for g in gens)
+    return mul, f"perm(degree={degree},gens=[{gen_desc}])"
+
+
+@st.composite
+def permutation_generators(draw):
+    """(degree, generators) of degree <= 6: up to three permutations, and
+    maybe the identity and a repeat of the first, each at a drawn place."""
+    degree = draw(st.integers(0, 6))
+    gens = draw(st.lists(st.permutations(range(degree)).map(tuple), max_size=3))
+    for extra in (tuple(range(degree)), *gens[:1]):  # the identity, a repeat
+        if draw(st.booleans()):
+            gens.insert(draw(st.integers(0, len(gens))), extra)
+    return degree, gens
 
 
 def gaussian_binomial(r: int, k: int, p: int) -> int:
@@ -328,10 +365,58 @@ class TestPermutationClosure:
     def test_cap(self):
         with pytest.raises(SizeLimitError):
             gc.from_permutation_generators(5, [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)], cap=10)
+        gens = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]  # S5: a cap of its order passes
+        assert gc.from_permutation_generators(5, gens, cap=120).order == 120
+        with pytest.raises(SizeLimitError, match="closure exceeded 119 elements"):
+            gc.from_permutation_generators(5, gens, cap=119)
 
     def test_invalid_permutation(self):
         with pytest.raises(ParameterError):
             gc.from_permutation_generators(3, [(0, 0, 1)])
+
+
+class TestPermutationTableOracle:
+    """The Schreier-graph table against `composed_table`, bit for bit."""
+
+    PRESETS = ("alternating_4", "symmetric_4", "alternating_5", "sl2_3", "psl3_2")
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_presets(self, monkeypatch, preset):
+        calls = []
+
+        def record(degree, gens, cap=gc.CLOSURE_ELEMENT_CAP):
+            calls.append((degree, list(gens)))
+            return gc.from_permutation_generators(degree, gens, cap)
+
+        monkeypatch.setattr(presets, "from_permutation_generators", record)
+        G = getattr(presets, preset).__wrapped__()
+        [(degree, gens)] = calls
+        mul, provenance = composed_table(degree, gens)
+        assert G.mul.dtype == np.int32 and np.array_equal(G.mul, mul)
+        assert G.provenance == provenance
+        assert np.array_equal(getattr(presets, preset)().mul, mul)
+
+    @pytest.mark.parametrize("degree, gens, order", [
+        (5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], 120),
+        (6, [(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)], 360),
+        (6, [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)], 720),
+    ])
+    def test_s5_a6_s6(self, degree, gens, order):
+        G = gc.from_permutation_generators(degree, gens)
+        mul, provenance = composed_table(degree, gens)
+        assert G.order == order
+        assert np.array_equal(G.mul, mul) and G.provenance == provenance
+
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(permutation_generators())
+    @example((3, []))
+    @example((4, [(0, 1, 2, 3)]))
+    @example((4, [(1, 0, 2, 3), (1, 0, 2, 3), (0, 1, 2, 3), (1, 2, 3, 0)]))
+    def test_drawn_generators(self, drawn):
+        degree, gens = drawn
+        G = gc.from_permutation_generators(degree, gens)
+        mul, provenance = composed_table(degree, gens)
+        assert np.array_equal(G.mul, mul) and G.provenance == provenance
 
 
 class TestProducts:
