@@ -31,6 +31,7 @@ from .catalog import (
 from .coset_graph import build_coset_graph
 from .errors import FormatError, ParameterError, SizeLimitError, TpcalcError
 from .group_core import (
+    CLOSURE_ELEMENT_CAP,
     SUBGROUP_ORDER_CAP,
     GroupTable,
     Subgroup,
@@ -52,10 +53,12 @@ EXIT_RESOURCE = 3
 
 def _group_from_args(args) -> GroupTable:
     """The group the command names. A `perm` closure stops once it passes
-    --cap-order, before its table is built."""
+    --cap-order, before its table is built; the option can only lower the
+    closure's own CLOSURE_ELEMENT_CAP."""
     if getattr(args, "table", None):
         return read_cayley_table(read_input(args.table))
-    return build_group(args.group, base_dir=".", cap=args.cap_order)
+    cap = min(getattr(args, "cap_order", CLOSURE_ELEMENT_CAP), CLOSURE_ELEMENT_CAP)
+    return build_group(args.group, base_dir=".", cap=cap)
 
 
 def _subgroup_from_csv(G, text: str) -> Subgroup:
@@ -255,8 +258,6 @@ def make_parser() -> argparse.ArgumentParser:
                            "(empty or 0: the trivial subgroup)")
     p_pg.add_argument("--right", help="generator indices for K (default: H)")
     p_pg.add_argument("--bounds", action="store_true", help="print the bounds report")
-    p_pg.add_argument("--cap-order", type=int, default=SUBGROUP_ORDER_CAP,
-                      help="refuse a perm closure of more elements")
     p_pg.set_defaults(func=cmd_pg)
 
     p_tp = sub.add_parser("tp", help="minimum probability over all subgroups")
@@ -269,8 +270,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_gr.add_argument("--subgroup", required=True)
     p_gr.add_argument("--right")
     p_gr.add_argument("--dot", action="store_true", help="emit DOT format")
-    p_gr.add_argument("--cap-order", type=int, default=SUBGROUP_ORDER_CAP,
-                      help="refuse a perm closure of more elements")
     p_gr.set_defaults(func=cmd_graph)
 
     p_ver = sub.add_parser("verify", help="run one theorem check over a catalog")

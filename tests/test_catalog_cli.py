@@ -723,16 +723,8 @@ class TestCli:
         code = cli.main(["group", action, "dihedral 12", "--cap-order", "10"])
         assert code == cli.EXIT_RESOURCE
 
-    @pytest.mark.parametrize("head, tail", [(["group", "make"], []), (["tp"], []),
-                                            (["pg"], ["--subgroup", "1"]),
-                                            (["graph"], ["--subgroup", "1"])])
-    def test_perm_closure_stops_at_the_default_cap(self, capsys, tmp_path, monkeypatch,
-                                                   head, tail):
-        """S7 (order 5040) is refused after 257 elements, before its table
-        is allocated: the builder gets --cap-order as its closure cap."""
-        path = tmp_path / "s7.txt"
-        path.write_text(gc.write_permutation_generators(
-            7, [(1, 2, 3, 4, 5, 6, 0), (1, 0, 2, 3, 4, 5, 6)]))
+    @staticmethod
+    def _record_closure_caps(monkeypatch):
         caps = []
 
         def closure(degree, gens, cap=gc.CLOSURE_ELEMENT_CAP):
@@ -740,9 +732,32 @@ class TestCli:
             return gc.from_permutation_generators(degree, gens, cap)
 
         monkeypatch.setattr(presets, "from_permutation_generators", closure)
-        assert cli.main([*head, f"perm 7 {path}", *tail]) == cli.EXIT_RESOURCE
+        return caps
+
+    @pytest.mark.parametrize("head", [["group", "make"], ["tp"]])
+    def test_perm_closure_stops_at_the_default_cap(self, capsys, tmp_path, monkeypatch,
+                                                   head):
+        """S7 (order 5040) is refused after 257 elements, before its table
+        is allocated: the builder gets --cap-order as its closure cap."""
+        path = tmp_path / "s7.txt"
+        path.write_text(gc.write_permutation_generators(
+            7, [(1, 2, 3, 4, 5, 6, 0), (1, 0, 2, 3, 4, 5, 6)]))
+        caps = self._record_closure_caps(monkeypatch)
+        assert cli.main([*head, f"perm 7 {path}"]) == cli.EXIT_RESOURCE
         assert caps == [256] == [gc.SUBGROUP_ORDER_CAP]
         assert "closure exceeded 256 elements" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["tp", "--cap-order", "50000"],
+                                      ["pg", "--subgroup", "1"],
+                                      ["graph", "--subgroup", "1"]])
+    def test_perm_closure_cap_is_never_raised(self, capsys, tmp_path, monkeypatch, args):
+        """--cap-order only lowers the closure cap; `pg` and `graph` have no
+        order cap and keep CLOSURE_ELEMENT_CAP."""
+        path = tmp_path / "s3.txt"
+        path.write_text(gc.write_permutation_generators(3, [(1, 2, 0), (1, 0, 2)]))
+        caps = self._record_closure_caps(monkeypatch)
+        assert cli.main([args[0], f"perm 3 {path}", *args[1:]]) == cli.EXIT_OK
+        assert caps == [gc.CLOSURE_ELEMENT_CAP] == [20_000]
 
     def test_exit_code_verification_failure(self, capsys, tmp_path):
         path = tmp_path / "bad.tsv"
