@@ -15,14 +15,15 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
-from .errors import FormatError, ParameterError, SizeLimitError, TpcalcError, VerificationError
-from .group_core import SUBGROUP_ORDER_CAP, GroupTable, lattice
+from .errors import (LIMITS, FormatError, ParameterError, SizeLimitError, TpcalcError,
+                     VerificationError)
+from .group_core import GroupTable, lattice
 from .presets import build_group, product_factors, read_input
 from .transversal import bounds_report
 from .tp_engine import (
@@ -56,6 +57,8 @@ class CatalogEntry:
         if self._group is None:
             try:
                 G = build_group(self.builder, self.base_dir)
+            except SizeLimitError:
+                raise
             except TpcalcError as exc:
                 raise FormatError(f"entry {self.id!r}: builder failed: {exc}") from exc
             want = self.expected.get("order")
@@ -366,22 +369,14 @@ def _plain(value):
     return str(value)
 
 
-def scan_entry(entry: CatalogEntry, checks: Sequence[str], cap_order: int,
+def scan_entry(entry: CatalogEntry, checks: Sequence[str],
                cache: ResultsCache | None, cat_hash: str) -> dict:
     started = time.perf_counter()
     row: dict = {"group": entry.id}
-    try:
-        G = entry.group()
-    except TpcalcError as exc:
-        row.update(error=str(exc), millis=_millis(started))
-        return row
-    row["order"] = G.order
-    if G.order > cap_order:
-        row.update(skipped=f"order {G.order} exceeds cap {cap_order}",
-                   millis=_millis(started))
-        return row
     cached = cache.get(cat_hash, entry.id) if cache is not None else None
     try:
+        G = entry.group()
+        row["order"] = G.order
         result = tp(G, entry.id)
         row["tp"] = rational_json(result.tp)
         row["witnesses"] = [list(w) for w in result.witnesses]
@@ -425,26 +420,24 @@ def _millis(started: float) -> int:
 
 
 def scan_and_report(entries: Sequence[CatalogEntry], checks: Sequence[str] | None = None,
-                    out: Path | str | None = None, cap_order: int = SUBGROUP_ORDER_CAP,
-                    jobs: int = 1, cache: ResultsCache | None = None,
+                    out: Path | str | None = None, jobs: int = 1,
+                    cache: ResultsCache | None = None,
                     fmt: str = "json") -> tuple[dict, bool]:
-    """Run the requested checks over the catalog; returns (report, ok).
-    `jobs` must be 1: entries run one after another. The checks enumerate
-    subgroups under SUBGROUP_ORDER_CAP, so `cap_order` may not exceed it."""
+    """Run the requested checks over the catalog under the active Limits;
+    returns (report, ok). An entry over a limit is a `skipped` row. `jobs`
+    must be 1: entries run one after another."""
     if jobs != 1:
         raise ParameterError(f"jobs must be 1, got {jobs}")
-    if cap_order > SUBGROUP_ORDER_CAP:
-        raise ParameterError(
-            f"cap_order {cap_order} exceeds the subgroup cap {SUBGROUP_ORDER_CAP}")
     check_names = resolve_checks(checks)
     cat_hash = catalog_hash(entries)
     ordered = sorted(entries, key=lambda e: e.id)
-    rows = [scan_entry(e, check_names, cap_order, cache, cat_hash) for e in ordered]
+    rows = [scan_entry(e, check_names, cache, cat_hash) for e in ordered]
     ok = all(r.get("consistent", True) and "error" not in r for r in rows)
     report = {
         "toolchain": {"python": sys.version.split()[0], "tpcalc": __version__},
         "catalog_hash": cat_hash,
         "checks": list(check_names),
+        "limits": asdict(LIMITS.get()),
         "entries": rows,
         "ok": ok,
     }

@@ -1,6 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource limit.
+Each command runs under one `Limits`: `--cap-order N` (default 256) gives
+`Limits(N, min(N, 20_000))`; `pg`, `graph` and `nt` run under `Limits()`.
 """
 
 from __future__ import annotations
@@ -29,10 +31,8 @@ from .catalog import (
     scan_and_report,
 )
 from .coset_graph import build_coset_graph
-from .errors import FormatError, ParameterError, SizeLimitError, TpcalcError
+from .errors import FormatError, Limits, ParameterError, SizeLimitError, TpcalcError, using
 from .group_core import (
-    CLOSURE_ELEMENT_CAP,
-    SUBGROUP_ORDER_CAP,
     GroupTable,
     Subgroup,
     classify_structure,
@@ -52,13 +52,10 @@ EXIT_RESOURCE = 3
 
 
 def _group_from_args(args) -> GroupTable:
-    """The group the command names. A `perm` closure stops once it passes
-    --cap-order, before its table is built; the option can only lower the
-    closure's own CLOSURE_ELEMENT_CAP."""
+    """The group the command names, refused over the `table` limit."""
     if getattr(args, "table", None):
         return read_cayley_table(read_input(args.table))
-    cap = min(getattr(args, "cap_order", CLOSURE_ELEMENT_CAP), CLOSURE_ELEMENT_CAP)
-    return build_group(args.group, base_dir=".", cap=cap)
+    return build_group(args.group, base_dir=".")
 
 
 def _subgroup_from_csv(G, text: str) -> Subgroup:
@@ -84,15 +81,13 @@ def _pair_from_args(args) -> tuple[GroupTable, Subgroup, Subgroup]:
 
 def cmd_group(args) -> int:
     G = _group_from_args(args)
-    if G.order > args.cap_order:
-        raise SizeLimitError(f"group order {G.order} exceeds --cap-order {args.cap_order}")
     if args.action == "make":
         if args.out:
             Path(args.out).write_text(write_cayley_table(G))
         print(f"order {G.order}  provenance {G.provenance}")
         return EXIT_OK
     if args.action == "show":
-        rep = classify_structure(G, cap=args.cap_order)
+        rep = classify_structure(G)
         print(f"order {G.order}  provenance {G.provenance}")
         print(f"abelian {rep.is_abelian}  dedekind {rep.is_dedekind}  "
               f"nilpotent {rep.is_nilpotent}  supersoluble {rep.is_supersoluble}  "
@@ -101,7 +96,7 @@ def cmd_group(args) -> int:
               f"derived {rep.derived_order}")
         return EXIT_OK
     # subgroups
-    lat = lattice(G, cap=args.cap_order)
+    lat = lattice(G)
     normal = set(lat.normal)
     for s in lat.subgroups:
         flag = "normal" if s in normal else "      "
@@ -138,7 +133,7 @@ def cmd_pg(args) -> int:
 
 def cmd_tp(args) -> int:
     G = _group_from_args(args)
-    result = tp(G, cap=args.cap_order)
+    result = tp(G)
     print(f"tp = {result.tp.numerator}/{result.tp.denominator}")
     for w in result.witnesses:
         print("witness gens:", ",".join(str(g) for g in w) or "-")
@@ -171,8 +166,7 @@ def cmd_graph(args) -> int:
 def cmd_verify(args) -> int:
     entries = catalog_build(args.catalog)
     checks = resolve_checks([args.theorem])
-    report, ok = scan_and_report(entries, checks=checks, out=args.report,
-                                 cap_order=args.cap_order, fmt=args.format)
+    report, ok = scan_and_report(entries, checks=checks, out=args.report, fmt=args.format)
     for row in report["entries"]:
         status = "skip" if "skipped" in row else ("ok" if row.get("consistent", True) else "FAIL")
         print(f"{row['group']:>14}  {status}")
@@ -190,7 +184,7 @@ def cmd_scan(args) -> int:
                   file=sys.stderr)
     checks = resolve_checks(args.checks.split(",") if args.checks else None)
     report, ok = scan_and_report(entries, checks=checks, out=args.report,
-                                 cap_order=args.cap_order, cache=cache, fmt=args.format)
+                                 cache=cache, fmt=args.format)
     if args.report is None:
         if args.format == "csv":
             print(report_to_csv(report), end="")
@@ -247,7 +241,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_group = sub.add_parser("group", help="construct and inspect groups")
     p_group.add_argument("action", choices=["make", "show", "subgroups"])
     add_group_source(p_group)
-    p_group.add_argument("--cap-order", type=int, default=SUBGROUP_ORDER_CAP)
+    p_group.add_argument("--cap-order", type=int, default=Limits.order)
     p_group.add_argument("--out", help="write the Cayley table to this file")
     p_group.set_defaults(func=cmd_group)
 
@@ -262,7 +256,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_tp = sub.add_parser("tp", help="minimum probability over all subgroups")
     add_group_source(p_tp)
-    p_tp.add_argument("--cap-order", type=int, default=SUBGROUP_ORDER_CAP)
+    p_tp.add_argument("--cap-order", type=int, default=Limits.order)
     p_tp.set_defaults(func=cmd_tp)
 
     p_gr = sub.add_parser("graph", help="coset intersection graph")
@@ -275,7 +269,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run one theorem check over a catalog")
     p_ver.add_argument("theorem", choices=sorted(CHECKS) + ["all"])
     p_ver.add_argument("--catalog", default=None, help="catalog file (default builtin)")
-    p_ver.add_argument("--cap-order", type=int, default=SUBGROUP_ORDER_CAP)
+    p_ver.add_argument("--cap-order", type=int, default=Limits.order)
     p_ver.add_argument("--report", default=None)
     p_ver.add_argument("--format", choices=["json", "csv"], default="json")
     p_ver.set_defaults(func=cmd_verify)
@@ -284,7 +278,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--catalog", default=None)
     p_scan.add_argument("--checks", default=None,
                         help="comma-separated check names (default: all standard)")
-    p_scan.add_argument("--cap-order", type=int, default=SUBGROUP_ORDER_CAP)
+    p_scan.add_argument("--cap-order", type=int, default=Limits.order)
     p_scan.add_argument("--report", default=None)
     p_scan.add_argument("--format", choices=["json", "csv"], default="json")
     p_scan.add_argument("--no-cache", action="store_true")
@@ -308,10 +302,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "group", "ok") is None and getattr(args, "table", None) is None:
         parser.error("a builder expression or --table file is required")
+    n = getattr(args, "cap_order", None)
     try:
-        return args.func(args)
+        with using(Limits() if n is None else Limits(n, min(n, Limits.table))):
+            return args.func(args)
     except SizeLimitError as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
+        print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (FormatError, ParameterError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

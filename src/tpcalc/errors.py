@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one resource policy."""
+
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
 
 
 class TpcalcError(Exception):
@@ -14,7 +18,7 @@ class PreconditionError(TpcalcError, ValueError):
 
 
 class SizeLimitError(TpcalcError):
-    """An operation exceeded its configured size cap."""
+    """A group exceeded the active `Limits`; `check_limit` raises it first."""
 
 
 class BudgetError(SizeLimitError):
@@ -36,3 +40,30 @@ class FormatError(TpcalcError, ValueError):
 
 class VerificationError(TpcalcError):
     """An internal cross-check that must always hold failed."""
+
+
+@dataclass(frozen=True)
+class Limits:
+    """The resource policy, one value per command (see `using`)."""
+    order: int = 256     # largest group whose subgroups are enumerated or compared
+    table: int = 20_000  # most elements a builder may allocate a Cayley table for
+
+
+LIMITS: ContextVar[Limits] = ContextVar("limits", default=Limits())
+
+
+@contextmanager
+def using(limits: Limits):
+    """Make `limits` the active Limits inside the with-block."""
+    token = LIMITS.set(limits)
+    try:
+        yield
+    finally:
+        LIMITS.reset(token)
+
+
+def check_limit(n: int, kind: str, what: str = "group") -> None:
+    """Raise SizeLimitError, naming `what`, if n exceeds the active `kind` limit."""
+    limit = getattr(LIMITS.get(), kind)
+    if n > limit:
+        raise SizeLimitError(f"{what} exceeded {limit} elements ({n} > {kind} limit)")

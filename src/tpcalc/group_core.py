@@ -39,13 +39,10 @@ from .errors import (
     FormatError,
     NormalityError,
     ParameterError,
-    SizeLimitError,
     VerificationError,
+    check_limit,
 )
 
-SUBGROUP_ORDER_CAP = 256
-ISO_ORDER_CAP = 512
-CLOSURE_ELEMENT_CAP = 20_000
 # mask cells (rows x group order) that `all_subgroups` grows in one batch
 GROW_CELLS = 8192
 
@@ -364,6 +361,7 @@ def full_subgroup(G: GroupTable) -> Subgroup:
 def cyclic(n: int) -> GroupTable:
     if n < 1:
         raise ParameterError("cyclic group order must be positive")
+    check_limit(n, "table")
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
     return GroupTable(mul, provenance=f"cyclic({n})")
@@ -373,6 +371,7 @@ def elementary_abelian(p: int, r: int) -> GroupTable:
     if not is_prime(p) or r < 1:
         raise ParameterError("elementary_abelian needs a prime p and r >= 1")
     n = p**r
+    check_limit(n, "table")
     idx = np.arange(n)
     mul = np.zeros((n, n), dtype=np.int64)
     scale = 1
@@ -401,6 +400,7 @@ def generalized_quaternion(order: int) -> GroupTable:
     m = order.bit_length() - 1
     if order != 1 << m or m < 3:
         raise ParameterError("generalized quaternion order must be 2^m with m >= 3")
+    check_limit(order, "table")
     half = order // 2
     hpow = half // 2  # b^2 = a^(2^(m-2))
     mul = np.zeros((order, order), dtype=np.int64)
@@ -436,6 +436,7 @@ def field_frobenius(q: int) -> GroupTable:
     multiplicative group, of order q(q-1)."""
     if q < 3:
         raise ParameterError("field_frobenius needs a prime power q >= 3")
+    check_limit(q * (q - 1), "table")
     fld = _GaloisField(q)
     add_mul = np.array([[fld.add(a, b) for b in range(q)] for a in range(q)])
     additive = GroupTable(add_mul, provenance=f"gf({q})+")
@@ -546,6 +547,7 @@ def _poly_mod(num: Sequence[int], den: Sequence[int], p: int) -> list[int]:
 def direct_product(A: GroupTable, B: GroupTable) -> GroupTable:
     """Componentwise product; element (a, b) has index a*|B| + b."""
     na, nb = A.order, B.order
+    check_limit(na * nb, "table")
     a = np.arange(na * nb) // nb
     b = np.arange(na * nb) % nb
     mul = A.mul[np.ix_(a, a)].astype(np.int64) * nb + B.mul[np.ix_(b, b)]
@@ -586,6 +588,7 @@ def semidirect_product(G: GroupTable, K: GroupTable,
     sit at indices {g} and {k*|G|}.
     """
     ng, nk = G.order, K.order
+    check_limit(ng * nk, "table")
     if len(action) != nk:
         raise ActionError("action must assign an automorphism to every element of K")
     acts = [np.asarray(a, dtype=np.int64) for a in action]
@@ -618,8 +621,7 @@ def semidirect_product(G: GroupTable, K: GroupTable,
 # Permutation-generator construction and text formats
 # ---------------------------------------------------------------------------
 
-def from_permutation_generators(degree: int, generators: Sequence[Sequence[int]],
-                                cap: int = CLOSURE_ELEMENT_CAP) -> GroupTable:
+def from_permutation_generators(degree: int, generators: Sequence[Sequence[int]]) -> GroupTable:
     """Close a set of permutations of 0..degree-1 under composition.
 
     Elements are indexed in breadth-first discovery order, identity first;
@@ -630,8 +632,7 @@ def from_permutation_generators(degree: int, generators: Sequence[Sequence[int]]
     element j the element p and generator k it was reached from, so
     elems[j] = elems[p]*gens[k]. Then a*elems[j] = (a*elems[p])*gens[k] for
     every a, so column j of the table is moves[k] gathered at column p. The
-    search fails once it finds more than `cap` elements, before any table is
-    allocated.
+    search stops at the `table` limit, before any table is allocated.
     """
     ident = tuple(range(degree))
     gens = []
@@ -649,8 +650,7 @@ def from_permutation_generators(degree: int, generators: Sequence[Sequence[int]]
             nxt = tuple(map(g.__getitem__, cur))
             j = pos.get(nxt)
             if j is None:
-                if len(elems) >= cap:
-                    raise SizeLimitError(f"closure exceeded {cap} elements")
+                check_limit(len(elems) + 1, "table", "closure")
                 j = pos[nxt] = len(elems)
                 elems.append(nxt)
                 tree.append((p, k))
@@ -679,6 +679,7 @@ def read_cayley_table(text: str) -> GroupTable:
         n = int(lines[0])
     except ValueError as exc:
         raise FormatError(f"bad order line: {lines[0]!r}") from exc
+    check_limit(n, "table")
     if len(lines) != n + 1:
         raise FormatError(f"expected {n} table rows, found {len(lines) - 1}")
     rows = []
@@ -723,7 +724,7 @@ def read_permutation_generators(text: str) -> tuple[int, list[tuple[int, ...]]]:
 # Subgroup enumeration and relations
 # ---------------------------------------------------------------------------
 
-def all_subgroups(G: GroupTable, cap: int = SUBGROUP_ORDER_CAP) -> list[Subgroup]:
+def all_subgroups(G: GroupTable) -> list[Subgroup]:
     """The complete subgroup list, sorted by (order, element tuple).
 
     Cyclic extension (Neubüser 1960): seed with the cyclic subgroups, then
@@ -750,8 +751,7 @@ def all_subgroups(G: GroupTable, cap: int = SUBGROUP_ORDER_CAP) -> list[Subgroup
     The pass also yields the conjugacy classes, so it stores G's lattice when
     none is memoised yet; `lattice` reads it from there.
     """
-    if G.order > cap:
-        raise SizeLimitError(f"group order {G.order} exceeds subgroup cap {cap}")
+    check_limit(G.order, "order")
     n = G.order
     perms = _conjugation_perms(G)
     found: dict[bytes, Subgroup] = {}  # keyed by the packed mask
@@ -828,9 +828,9 @@ class Lattice:
     normal: tuple[Subgroup, ...]               # one-member classes, as subgroups
 
 
-def lattice(G: GroupTable, cap: int = SUBGROUP_ORDER_CAP) -> Lattice:
-    """The subgroup lattice of G, built once per table. The cap is checked on
-    every call, so a memoised lattice obeys it too.
+def lattice(G: GroupTable) -> Lattice:
+    """The subgroup lattice of G, built once per table. The `order` limit is
+    checked on every call, so a memoised lattice obeys it too.
 
     A table whose source parent already has its lattice takes its subgroups
     from the parent's by the correspondence theorem: the subgroups of H are
@@ -839,8 +839,7 @@ def lattice(G: GroupTable, cap: int = SUBGROUP_ORDER_CAP) -> Lattice:
     into classes by `subgroup_conjugacy_classes`. Every other table runs
     `all_subgroups`, whose one pass finds the subgroups and their classes
     together and stores the lattice."""
-    if G.order > cap:
-        raise SizeLimitError(f"group order {G.order} exceeds subgroup cap {cap}")
+    check_limit(G.order, "order")
     if G._lattice is None:
         if G._source is not None and G._source[0]._lattice is not None:
             parent, lift, floor = G._source
@@ -855,7 +854,7 @@ def lattice(G: GroupTable, cap: int = SUBGROUP_ORDER_CAP) -> Lattice:
             subs = [Subgroup._of_mask(G, row) for row in mapped]
             G._lattice = _lattice_of(subgroup_conjugacy_classes(G, subs))
         else:
-            all_subgroups(G, cap)
+            all_subgroups(G)
     return G._lattice
 
 
@@ -1067,9 +1066,8 @@ def subgroup_as_group(G: GroupTable, H: Subgroup) -> GroupTable:
 # Isomorphism testing
 # ---------------------------------------------------------------------------
 
-def is_isomorphic(A: GroupTable, B: GroupTable, cap: int = ISO_ORDER_CAP) -> bool:
-    if A.order > cap or B.order > cap:
-        raise SizeLimitError(f"isomorphism cap {cap} exceeded")
+def is_isomorphic(A: GroupTable, B: GroupTable) -> bool:
+    check_limit(max(A.order, B.order), "order")
     if A is B:
         return True
     if A.fingerprint != B.fingerprint:
@@ -1200,11 +1198,11 @@ def derived_series(G: GroupTable) -> list[np.ndarray]:
     return series
 
 
-def classify_structure(G: GroupTable, cap: int = SUBGROUP_ORDER_CAP) -> StructureReport:
+def classify_structure(G: GroupTable) -> StructureReport:
     """Structure flags computed from first principles, with the supersolubility
     test done two independent ways (chief-factor orders vs maximal-subgroup
     indices) and cross-checked."""
-    lat = lattice(G, cap)
+    lat = lattice(G)
     series = derived_series(G)
     soluble = series[-1].size == 1
     derived_length = len(series) - 1 if soluble else None

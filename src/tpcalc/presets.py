@@ -23,9 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FormatError, VerificationError
+from .errors import FormatError, Limits, VerificationError, check_limit, using
 from .group_core import (
-    CLOSURE_ELEMENT_CAP,
     GroupTable,
     action_by_generator_power,
     action_by_inversion,
@@ -151,12 +150,10 @@ def read_input(path: Path | str) -> str:
 
 
 class _Parser:
-    def __init__(self, tokens: list[str], base_dir: Path, cap: int):
+    def __init__(self, tokens: list[str], base_dir: Path):
         self.tokens = tokens
         self.pos = 0
         self.base_dir = base_dir
-        # the most elements a `perm` closure may reach before it is refused
-        self.cap = cap
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -208,11 +205,13 @@ class _Parser:
             file_degree, gens = read_permutation_generators(text)
             if file_degree != degree:
                 raise FormatError(f"declared degree {degree} != file degree {file_degree}")
-            return from_permutation_generators(degree, gens, cap=self.cap)
+            return from_permutation_generators(degree, gens)
         if name == "table":
             return read_cayley_table(read_input(self.base_dir / self.take()))
         if name in _NAMED:
-            return _NAMED[name]()
+            G = _NAMED[name]()  # built once per process, so checked here too
+            check_limit(G.order, "table")
+            return G
         raise FormatError(f"unknown builder {name!r}")
 
     def product_factors(self, name: str):
@@ -255,20 +254,18 @@ def _plane_prime(G: GroupTable) -> int:
     return p
 
 
-def _parse(expr: str, base_dir: Path | str, rule: Callable[[_Parser], object],
-           cap: int = CLOSURE_ELEMENT_CAP):
-    parser = _Parser(_tokenize(expr), Path(base_dir), cap)
+def _parse(expr: str, base_dir: Path | str, rule: Callable[[_Parser], object]):
+    parser = _Parser(_tokenize(expr), Path(base_dir))
     result = rule(parser)
     if parser.peek() is not None:
         raise FormatError(f"trailing tokens in builder expression: {parser.tokens[parser.pos:]}")
     return result
 
 
-def build_group(expr: str, base_dir: Path | str = ".",
-                cap: int = CLOSURE_ELEMENT_CAP) -> GroupTable:
-    """The group `expr` names; a `perm` closure that finds more than `cap`
-    elements raises SizeLimitError before its table is allocated."""
-    return _parse(expr, base_dir, _Parser.expression, cap)
+def build_group(expr: str, base_dir: Path | str = ".") -> GroupTable:
+    """The group `expr` names; a group over the `table` limit raises
+    SizeLimitError before its table is allocated."""
+    return _parse(expr, base_dir, _Parser.expression)
 
 
 def product_factors(expr: str, base_dir: Path | str = "."):
@@ -281,8 +278,9 @@ def product_factors(expr: str, base_dir: Path | str = "."):
 
 @lru_cache(maxsize=None)
 def named(expr: str) -> GroupTable:
-    """The group a file-free builder expression names, built once per process."""
-    return build_group(expr)
+    """The group a file-free expression names, built once under `Limits()`."""
+    with using(Limits()):
+        return build_group(expr)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,8 @@ import numpy as np
 
 from .arith_nt import factorial_ratio, next_prime, prime_factors
 from .coset_graph import build_coset_graph, s_bounds_check
-from .errors import SizeLimitError, VerificationError
+from .errors import VerificationError, check_limit
 from .group_core import (
-    SUBGROUP_ORDER_CAP,
     GroupTable,
     Subgroup,
     all_subgroups,
@@ -80,22 +79,21 @@ class TheoremVerdict:
                            (not self.hypothesis_holds) or self.conclusion_holds)
 
 
-def tp(G: GroupTable, group_id: str = "", cap: int = SUBGROUP_ORDER_CAP) -> TpResult:
+def tp(G: GroupTable, group_id: str = "") -> TpResult:
     """Exact minimum of P over all subgroups, with the attaining conjugacy
     class representatives listed by canonical generators and the per-class
     table. The result is memoised on G; this is the memo's one writer."""
-    if G.order > cap:  # before the memo, so a cached value obeys the cap too
-        raise SizeLimitError(f"group order {G.order} exceeds subgroup cap {cap}")
+    check_limit(G.order, "order")  # before the memo, so a cached value obeys it too
     if G._tp_cache is None:
-        G._tp_cache = _compute_tp(G, cap)
+        G._tp_cache = _compute_tp(G)
     result = G._tp_cache
     if group_id:
         result = dataclasses.replace(result, group_id=group_id)
     return result
 
 
-def _compute_tp(G: GroupTable, cap: int) -> TpResult:
-    lat = lattice(G, cap)
+def _compute_tp(G: GroupTable) -> TpResult:
+    lat = lattice(G)
     records = []
     best: Fraction | None = None
     attaining: list[Subgroup] = []

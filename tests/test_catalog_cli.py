@@ -1,9 +1,12 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
 import textwrap
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -14,7 +17,7 @@ from tpcalc import cli
 from tpcalc import group_core as gc
 from tpcalc import presets
 from tpcalc import tp_engine as te
-from tpcalc.errors import FormatError, ParameterError
+from tpcalc.errors import LIMITS, FormatError, Limits, ParameterError, SizeLimitError, using
 
 
 # sha256 of the builtin scan report's entries with every `millis` removed.
@@ -95,6 +98,22 @@ class TestBuilderGrammar:
         assert presets.product_factors("") is None
         with pytest.raises(FormatError):
             presets.product_factors("dp (cyclic 2) (cyclic 3) (cyclic 4)")
+
+    @pytest.mark.parametrize("expr", ["cyclic 3000", "elemab 3 8", "dihedral 1500",
+                                      "quaternion 4096", "frobfield 64",
+                                      "dp (cyclic 60) (cyclic 50)", "table big.txt"])
+    def test_refused_before_the_table_is_allocated(self, tmp_path, expr):
+        """Each builder checks the `table` limit first: refusing a group of
+        3,000 to 6,561 elements costs under 1 MB, not its 36-344 MB table."""
+        (tmp_path / "big.txt").write_text("3000\n" + " ".join(map(str, range(3000))) + "\n")
+        tracemalloc.start()
+        try:
+            with using(Limits(order=256, table=256)), pytest.raises(SizeLimitError):
+                presets.build_group(expr, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestCatalog:
@@ -184,7 +203,8 @@ class TestScan:
             cat.scan_and_report(small_catalog, jobs=2)
 
     def test_cap_skips_large_entries(self, small_catalog):
-        report, ok = cat.scan_and_report(small_catalog, cap_order=10)
+        with using(Limits(10, 10)):
+            report, ok = cat.scan_and_report(small_catalog)
         assert ok
         skipped = {r["group"] for r in report["entries"] if "skipped" in r}
         assert skipped == {"a4", "pair"}
@@ -205,9 +225,12 @@ class TestScan:
         assert "cannot read" in rows["lost"]["error"]
         assert rows["s3"]["consistent"]
 
-    def test_refuses_a_cap_above_the_subgroup_cap(self, small_catalog):
-        with pytest.raises(ParameterError):
-            cat.scan_and_report(small_catalog, cap_order=gc.SUBGROUP_ORDER_CAP + 1)
+    def test_report_records_its_limits(self, small_catalog):
+        report, _ = cat.scan_and_report(small_catalog, checks=["expected-values"])
+        assert report["limits"] == {"order": 256, "table": 20_000}
+        with using(Limits(10, 10)):
+            report, _ = cat.scan_and_report(small_catalog, checks=["expected-values"])
+        assert report["limits"] == {"order": 10, "table": 10}
 
     def test_builtin_catalog_full_scan_is_consistent(self, catalog_entries, tmp_path):
         report, ok = cat.scan_and_report(catalog_entries, out=tmp_path / "full.json")
@@ -710,26 +733,81 @@ class TestCli:
         assert cli.main(args) == cli.EXIT_USAGE
         assert "cannot read" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("args", [["scan", "--no-cache"], ["verify", "nilpotency"]])
-    def test_catalog_commands_refuse_a_larger_cap(self, capsys, args):
-        assert cli.main([*args, "--cap-order", "720"]) == cli.EXIT_USAGE
-        assert "usage error" in capsys.readouterr().err
+    @staticmethod
+    def _a6_catalog(tmp_path):
+        (tmp_path / "a6.txt").write_text(gc.write_permutation_generators(6, [(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)]))
+        (tmp_path / "a6.tsv").write_text("a6\tperm 6 a6.txt\n")
+        return str(tmp_path / "a6.tsv")
+
+    def test_verify_all_checks_a6_at_a_larger_cap(self, capsys, tmp_path):
+        """A raised --cap-order reaches every check, so A6 (order 360) runs
+        them all and has its published 501 subgroups."""
+        report = tmp_path / "r.json"
+        assert cli.main(["verify", "all", "--catalog", self._a6_catalog(tmp_path),
+                         "--cap-order", "360", "--report", str(report)]) == cli.EXIT_OK
+        payload = json.loads(report.read_text())
+        [row] = payload["entries"]
+        assert payload["checks"] == list(cat.DEFAULT_CHECKS)
+        assert payload["limits"] == {"order": 360, "table": 360}
+        assert row["consistent"] and "skipped" not in row
+        assert row["subgroup_count"] == 501
+
+    def test_default_limits_skip_a6_before_its_table(self, capsys, tmp_path):
+        report = tmp_path / "r.json"
+        assert cli.main(["scan", "--catalog", self._a6_catalog(tmp_path), "--no-cache",
+                         "--report", str(report)]) == cli.EXIT_OK
+        [row] = json.loads(report.read_text())["entries"]
+        assert "closure exceeded 256 elements" in row["skipped"]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    @pytest.mark.parametrize("args", [
+        ["scan", "--catalog", "big.tsv", "--no-cache", "--checks", "expected-values",
+         "--report", "r.json"],
+        ["tp", "cyclic 3000"]])
+    def test_refused_in_a_small_process(self, tmp_path, args):
+        """At the default limits S7 and S8 are skipped, and cyclic 3000
+        refused, before a table is allocated: the process peaks under 60 MB.
+        VmHWM is the child's own peak; ru_maxrss would keep the parent's
+        across the fork and exec."""
+        for degree in (7, 8):
+            cycle = tuple(range(1, degree)) + (0,)
+            swap = (1, 0) + tuple(range(2, degree))
+            (tmp_path / f"s{degree}.txt").write_text(
+                gc.write_permutation_generators(degree, [cycle, swap]))
+        (tmp_path / "big.tsv").write_text("s8\tperm 8 s8.txt\ns7\tperm 7 s7.txt\n")
+        script = ("import re, sys; from tpcalc.cli import main; code = main(sys.argv[1:]); "
+                  "print(re.search(r'VmHWM:\\s*(\\d+)', open('/proc/self/status').read())[1]); "
+                  "sys.exit(code)")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        proc = subprocess.run([sys.executable, "-c", script, *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        peak_kb = int(proc.stdout.split()[-1])
+        if args[0] == "scan":
+            assert proc.returncode == cli.EXIT_OK
+            rows = json.loads((tmp_path / "r.json").read_text())["entries"]
+            assert [row["group"] for row in rows if "skipped" in row] == ["s7", "s8"]
+        else:
+            assert proc.returncode == cli.EXIT_RESOURCE
+        assert peak_kb <= 60 * 1024
 
     def test_exit_code_resource_cap(self, capsys):
         assert cli.main(["tp", "dihedral 12", "--cap-order", "10"]) == cli.EXIT_RESOURCE
+        assert cli.main(["tp", "cyclic 3000"]) == cli.EXIT_RESOURCE
 
     @pytest.mark.parametrize("action", ["make", "show", "subgroups"])
     def test_group_commands_obey_the_cap(self, capsys, action):
         code = cli.main(["group", action, "dihedral 12", "--cap-order", "10"])
         assert code == cli.EXIT_RESOURCE
+        presets.named("a5")  # a named group built once per process is checked too
+        assert cli.main(["group", action, "a5", "--cap-order", "10"]) == cli.EXIT_RESOURCE
 
     @staticmethod
     def _record_closure_caps(monkeypatch):
         caps = []
 
-        def closure(degree, gens, cap=gc.CLOSURE_ELEMENT_CAP):
-            caps.append(cap)
-            return gc.from_permutation_generators(degree, gens, cap)
+        def closure(degree, gens):
+            caps.append(LIMITS.get().table)
+            return gc.from_permutation_generators(degree, gens)
 
         monkeypatch.setattr(presets, "from_permutation_generators", closure)
         return caps
@@ -738,26 +816,26 @@ class TestCli:
     def test_perm_closure_stops_at_the_default_cap(self, capsys, tmp_path, monkeypatch,
                                                    head):
         """S7 (order 5040) is refused after 257 elements, before its table
-        is allocated: the builder gets --cap-order as its closure cap."""
+        is allocated: the builder runs under a `table` limit of --cap-order."""
         path = tmp_path / "s7.txt"
         path.write_text(gc.write_permutation_generators(
             7, [(1, 2, 3, 4, 5, 6, 0), (1, 0, 2, 3, 4, 5, 6)]))
         caps = self._record_closure_caps(monkeypatch)
         assert cli.main([*head, f"perm 7 {path}"]) == cli.EXIT_RESOURCE
-        assert caps == [256] == [gc.SUBGROUP_ORDER_CAP]
+        assert caps == [256] == [Limits().order]
         assert "closure exceeded 256 elements" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [["tp", "--cap-order", "50000"],
                                       ["pg", "--subgroup", "1"],
                                       ["graph", "--subgroup", "1"]])
     def test_perm_closure_cap_is_never_raised(self, capsys, tmp_path, monkeypatch, args):
-        """--cap-order only lowers the closure cap; `pg` and `graph` have no
-        order cap and keep CLOSURE_ELEMENT_CAP."""
+        """--cap-order only lowers the `table` limit; `pg` and `graph` have no
+        --cap-order and keep the default Limits."""
         path = tmp_path / "s3.txt"
         path.write_text(gc.write_permutation_generators(3, [(1, 2, 0), (1, 0, 2)]))
         caps = self._record_closure_caps(monkeypatch)
         assert cli.main([args[0], f"perm 3 {path}", *args[1:]]) == cli.EXIT_OK
-        assert caps == [gc.CLOSURE_ELEMENT_CAP] == [20_000]
+        assert caps == [Limits().table] == [20_000]
 
     def test_exit_code_verification_failure(self, capsys, tmp_path):
         path = tmp_path / "bad.tsv"

@@ -12,8 +12,10 @@ from tpcalc.errors import (
     ActionError,
     FormatError,
     NormalityError,
+    Limits,
     ParameterError,
     SizeLimitError,
+    using,
 )
 
 
@@ -363,12 +365,14 @@ class TestPermutationClosure:
         assert gc.from_permutation_generators(3, []).order == 1
 
     def test_cap(self):
-        with pytest.raises(SizeLimitError):
-            gc.from_permutation_generators(5, [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)], cap=10)
-        gens = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]  # S5: a cap of its order passes
-        assert gc.from_permutation_generators(5, gens, cap=120).order == 120
-        with pytest.raises(SizeLimitError, match="closure exceeded 119 elements"):
-            gc.from_permutation_generators(5, gens, cap=119)
+        with using(Limits(table=10)), pytest.raises(SizeLimitError):
+            gc.from_permutation_generators(5, [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
+        gens = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]  # S5: a limit of its order passes
+        with using(Limits(table=120)):
+            assert gc.from_permutation_generators(5, gens).order == 120
+        with using(Limits(table=119)), \
+                pytest.raises(SizeLimitError, match="closure exceeded 119 elements"):
+            gc.from_permutation_generators(5, gens)
 
     def test_invalid_permutation(self):
         with pytest.raises(ParameterError):
@@ -384,9 +388,9 @@ class TestPermutationTableOracle:
     def test_presets(self, monkeypatch, preset):
         calls = []
 
-        def record(degree, gens, cap=gc.CLOSURE_ELEMENT_CAP):
+        def record(degree, gens):
             calls.append((degree, list(gens)))
-            return gc.from_permutation_generators(degree, gens, cap)
+            return gc.from_permutation_generators(degree, gens)
 
         monkeypatch.setattr(presets, "from_permutation_generators", record)
         G = getattr(presets, preset).__wrapped__()
@@ -561,8 +565,8 @@ class TestSubgroupEnumeration:
         assert subs == sorted(subs, key=lambda s: (s.order, s.elems))
 
     def test_cap(self):
-        with pytest.raises(SizeLimitError):
-            gc.all_subgroups(gc.cyclic(10), cap=5)
+        with using(Limits(order=5)), pytest.raises(SizeLimitError):
+            gc.all_subgroups(gc.cyclic(10))
 
 
 class TestLattice:
@@ -592,8 +596,8 @@ class TestLattice:
     def test_built_once_and_cap_checked_on_every_call(self):
         G = gc.dihedral(5)
         assert gc.lattice(G) is gc.lattice(G)
-        with pytest.raises(SizeLimitError):
-            gc.lattice(G, cap=9)
+        with using(Limits(order=9)), pytest.raises(SizeLimitError):
+            gc.lattice(G)
 
     def test_derived_lattices_match_a_fresh_enumeration(self, zoo):
         """Subgroup, quotient and section tables take their lattice from the
@@ -668,7 +672,8 @@ class TestLatticeOracle:
         a6 = gc.from_permutation_generators(6, [(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)])
         with pytest.raises(SizeLimitError):
             gc.lattice(a6)
-        lat = gc.lattice(a6, cap=a6.order)
+        with using(Limits(order=a6.order)):
+            lat = gc.lattice(a6)
         assert (len(lat.subgroups), len(lat.classes)) == (501, 22)
         assert_lattice_is_the_reference(lat, a6, extend_every_subgroup(a6), "a6")
 
@@ -862,8 +867,8 @@ class TestIsomorphism:
                                 gc.direct_product(gc.cyclic(2), gc.dihedral(3)))
 
     def test_cap(self):
-        with pytest.raises(SizeLimitError):
-            gc.is_isomorphic(gc.cyclic(2), gc.cyclic(2), cap=1)
+        with using(Limits(order=1)), pytest.raises(SizeLimitError):
+            gc.is_isomorphic(gc.cyclic(2), gc.cyclic(2))
 
     def test_equivalence_relation_on_pool(self, zoo):
         pool = [G for name, G in sorted(zoo.items()) if G.order <= 24]

@@ -5,7 +5,7 @@ import pytest
 from tpcalc import group_core as gc
 from tpcalc import presets
 from tpcalc import tp_engine as te
-from tpcalc.errors import SizeLimitError, VerificationError
+from tpcalc.errors import Limits, SizeLimitError, VerificationError, using
 from tpcalc.transversal import p_g
 
 
@@ -55,12 +55,12 @@ class TestTp:
                 assert p_g(G, rec.subgroup) == rec.p, (name, rec.subgroup.elems)
 
     def test_cap_holds_on_a_memo_hit(self):
-        with pytest.raises(SizeLimitError):
-            te.tp(gc.dihedral(5), cap=4)
+        with using(Limits(order=4)), pytest.raises(SizeLimitError):
+            te.tp(gc.dihedral(5))
         G = gc.dihedral(5)
         assert te.tp(G).tp == Fraction(1, 4)  # memoised on G
-        with pytest.raises(SizeLimitError):
-            te.tp(G, cap=4)
+        with using(Limits(order=4)), pytest.raises(SizeLimitError):
+            te.tp(G)
 
     def test_isomorphism_invariance(self, zoo):
         pairs = [
