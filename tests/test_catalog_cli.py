@@ -752,6 +752,26 @@ class TestCli:
         assert row["consistent"] and "skipped" not in row
         assert row["subgroup_count"] == 501
 
+    @pytest.mark.parametrize("args", [["scan", "--no-cache"], ["verify", "nilpotency"]])
+    def test_catalog_commands_refuse_a_larger_cap(self, capsys, tmp_path, args):
+        """A --cap-order above the `table` limit raises only the `order` limit:
+        cyclic 30000 is still skipped before its 3.6 GB table is allocated."""
+        (tmp_path / "big.tsv").write_text("c30000\tcyclic 30000\n")
+        report = tmp_path / "r.json"
+        tracemalloc.start()
+        try:
+            code = cli.main([*args, "--catalog", str(tmp_path / "big.tsv"),
+                             "--cap-order", "50000", "--report", str(report)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_OK
+        payload = json.loads(report.read_text())
+        assert payload["limits"] == {"order": 50000, "table": 20_000}
+        [row] = payload["entries"]
+        assert "exceeded 20000 elements" in row["skipped"]
+        assert peak < 2**20
+
     def test_default_limits_skip_a6_before_its_table(self, capsys, tmp_path):
         report = tmp_path / "r.json"
         assert cli.main(["scan", "--catalog", self._a6_catalog(tmp_path), "--no-cache",
