@@ -50,23 +50,32 @@ class CatalogEntry:
     builder: str
     expected: dict = field(default_factory=dict)
     base_dir: Path = Path(".")
-    _group: GroupTable | None = field(default=None, repr=False)
+    _group: GroupTable | TpcalcError | None = field(default=None, repr=False)
 
     def group(self) -> GroupTable:
-        """Build on first use; the expected order is validated immediately."""
+        """Build on first use; the expected order is validated immediately.
+        A refusal or a failure is kept as well, and the same error is raised
+        on every later call, so a scan builds each entry once."""
         if self._group is None:
             try:
-                G = build_group(self.builder, self.base_dir)
-            except SizeLimitError:
-                raise
+                self._group = self._build()
             except TpcalcError as exc:
-                raise FormatError(f"entry {self.id!r}: builder failed: {exc}") from exc
-            want = self.expected.get("order")
-            if want is not None and G.order != want:
-                raise FormatError(
-                    f"entry {self.id!r}: built order {G.order}, expected {want}")
-            self._group = G
+                self._group = exc
+        if isinstance(self._group, TpcalcError):
+            raise self._group
         return self._group
+
+    def _build(self) -> GroupTable:
+        try:
+            G = build_group(self.builder, self.base_dir)
+        except SizeLimitError:
+            raise
+        except TpcalcError as exc:
+            raise FormatError(f"entry {self.id!r}: builder failed: {exc}") from exc
+        want = self.expected.get("order")
+        if want is not None and G.order != want:
+            raise FormatError(f"entry {self.id!r}: built order {G.order}, expected {want}")
+        return G
 
 
 def _dihedral_expected(n: int) -> str:

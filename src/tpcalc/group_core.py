@@ -984,6 +984,16 @@ def is_normal_subgroup(G: GroupTable, H: Subgroup) -> bool:
     return bool(H.mask[conjugates(G, H.elem_array, G.minimal_generators)].all())
 
 
+def is_abelian_modulo(G: GroupTable, gens: Sequence[int], N: Subgroup | None = None) -> bool:
+    """Whether <gens>N/N is abelian, for N normal in <gens>N (the trivial
+    subgroup when None): the images of the generators commute pairwise
+    exactly when every commutator [a, b] = (ba)^-1 ab of two of them lies in N."""
+    g = np.asarray(gens, dtype=np.intp)
+    ab = G.mul[g[:, None], g[None, :]]
+    comms = G.mul[G.inv[ab.T], ab]
+    return bool((comms == 0).all() if N is None else N.mask[comms].all())
+
+
 def _conjugators(G: GroupTable, H: Subgroup, K: Subgroup) -> np.ndarray:
     """The ascending g with H^g = K. Conjugation is injective, so H^g = K
     exactly when |H| = |K| and H^g lies inside K."""
@@ -1187,14 +1197,15 @@ def _derived_of(G: GroupTable, elems: np.ndarray) -> np.ndarray:
 
 
 def derived_series(G: GroupTable) -> list[np.ndarray]:
+    """G, G', G'', ... down to the trivial group or the first perfect term;
+    G' is the memoised `G.derived_elems`."""
     series = [np.arange(G.order, dtype=np.int64)]
-    while True:
-        nxt = _derived_of(G, series[-1])
-        if nxt.size == series[-1].size:
-            break
+    nxt = G.derived_elems
+    while nxt.size < series[-1].size:
         series.append(nxt)
         if nxt.size == 1:
             break
+        nxt = _derived_of(G, nxt)
     return series
 
 

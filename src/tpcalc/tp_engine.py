@@ -11,6 +11,7 @@ results are reproducible bit for bit.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -28,6 +29,7 @@ from .group_core import (
     classify_structure,
     direct_product,
     has_section,
+    is_abelian_modulo,
     is_isomorphic,
     lattice,
     quotient_group,
@@ -128,29 +130,52 @@ def _compute_tp(G: GroupTable) -> TpResult:
 # ---------------------------------------------------------------------------
 
 def verify_monotonicity(G: GroupTable, group_id: str = "") -> list[TheoremVerdict]:
-    """Subgroup, quotient, section, and p-group laws for the invariant."""
+    """Subgroup, quotient, section, and p-group laws for the invariant.
+
+    An abelian image X (a subgroup H, a quotient G/N, a section H/N) is given
+    tp(X) = 1 without a table. Every subgroup of an abelian group is normal,
+    so each of its subgroup classes has one member, and `_compute_tp` returns
+    1 for such a table. X = <S>N/N is abelian exactly when the images of the
+    generators S commute pairwise, that is when every commutator of two of
+    them lies in N (`is_abelian_modulo`). Only the non-abelian images are
+    built as tables and have tp computed.
+
+    If H is abelian, so is every H/N, and every subgroup N of H is normal in
+    H: the N of its sections are the subgroups of G inside H. They are taken
+    from G's lattice, whose (order, elems) order is that of H's own lattice,
+    since H's element map is increasing.
+    """
     tp_g = tp(G).tp
-    classes = lattice(G).classes
+    lat = lattice(G)
+    one = Fraction(1)
     verdicts = []
 
-    # one table per proper class representative: its lattice, which tp takes
-    # from G's, also gives the normal subgroups N of every section H/N
+    # one table per non-abelian proper class representative: its lattice,
+    # which tp takes from G's, also gives the normal subgroups N of every
+    # section H/N
     sub_pairs, sections = [], []
     ok_sub = ok_sec = True
-    for cls in classes:
+    for cls in lat.classes:
         rep = cls[0]
         if rep.order == G.order:
             continue
-        H = subgroup_as_group(G, rep)
-        tp_h = tp(H).tp
+        if is_abelian_modulo(G, rep.generators()):
+            tp_h = one
+            # the subgroups N of G with 1 < |N| < |H| come first, after {1}
+            stop = bisect_left(lat.subgroups, rep.order, key=lambda s: s.order)
+            section_tps = [(N.order, one) for N in lat.subgroups[1:stop]
+                           if rep.contains_subgroup(N)]
+        else:
+            H = subgroup_as_group(G, rep)
+            tp_h = tp(H).tp
+            section_tps = [
+                (N.order, one if is_abelian_modulo(H, H.minimal_generators, N)
+                 else tp(quotient_group(H, N)[0]).tp)
+                for N in lattice(H).normal if N.order not in (1, H.order)]
         sub_pairs.append((rep.order, str(tp_h)))
         ok_sub = ok_sub and tp_g <= tp_h
-        for N in lattice(H).normal:
-            if N.order in (1, H.order):
-                continue
-            X, _ = quotient_group(H, N)
-            tp_x = tp(X).tp
-            sections.append((rep.order, N.order, str(tp_x)))
+        for n_order, tp_x in section_tps:
+            sections.append((rep.order, n_order, str(tp_x)))
             ok_sec = ok_sec and tp_g <= tp_x
     verdicts.append(TheoremVerdict(
         "monotone-subgroups", group_id, hypothesis_holds=G.order > 1,
@@ -158,12 +183,17 @@ def verify_monotonicity(G: GroupTable, group_id: str = "") -> list[TheoremVerdic
 
     ok_quot = True
     quot_pairs = []
-    for cls in classes:
+    for cls in lat.classes:
         rep = cls[0]
         if len(cls) > 1:
             continue
         # the cosets of {1} are G's elements in order, so G/1 has G's table
-        tp_q = tp_g if rep.order == 1 else tp(quotient_group(G, rep)[0]).tp
+        if rep.order == 1:
+            tp_q = tp_g
+        elif is_abelian_modulo(G, G.minimal_generators, rep):
+            tp_q = one
+        else:
+            tp_q = tp(quotient_group(G, rep)[0]).tp
         quot_pairs.append((rep.order, str(tp_q)))
         ok_quot = ok_quot and tp_g <= tp_q
     verdicts.append(TheoremVerdict(

@@ -133,6 +133,19 @@ class TestCatalog:
         with pytest.raises(FormatError):
             entry.group()
 
+    @pytest.mark.parametrize("builder, error", [("cyclic 5", FormatError),
+                                                 ("cyclic 30000", SizeLimitError),
+                                                 ("cyclic 0", FormatError)])
+    def test_a_failed_build_is_kept(self, builder, error):
+        """A refusal or a failure is raised again as the same error, of the
+        same type, without a second build."""
+        entry = cat.CatalogEntry(id="bad", builder=builder, expected={"order": 6})
+        with pytest.raises(error) as first:
+            entry.group()
+        with pytest.raises(error) as again:
+            entry.group()
+        assert again.value is first.value
+
     def test_file_catalog_roundtrip(self, tmp_path):
         path = tmp_path / "cat.tsv"
         path.write_text("# a comment\nmy_d4\tdihedral 4\nmy_prod\tdp (cyclic 2) (cyclic 3)\n")
@@ -844,6 +857,30 @@ class TestCli:
         assert cli.main([*head, f"perm 7 {path}"]) == cli.EXIT_RESOURCE
         assert caps == [256] == [Limits().order]
         assert "closure exceeded 256 elements" in capsys.readouterr().err
+
+    def test_a_refused_entry_is_built_once_per_scan(self, capsys, tmp_path, monkeypatch):
+        """The catalog hash and the scan share one build of each entry: one
+        closure each for S8 and S7, and the same skipped and error rows."""
+        for degree in (7, 8):
+            cycle = tuple(range(1, degree)) + (0,)
+            swap = (1, 0) + tuple(range(2, degree))
+            (tmp_path / f"s{degree}.txt").write_text(
+                gc.write_permutation_generators(degree, [cycle, swap]))
+        (tmp_path / "big.tsv").write_text(
+            "s8\tperm 8 s8.txt\ns7\tperm 7 s7.txt\nbroken\tcyclic 0\n")
+        caps = self._record_closure_caps(monkeypatch)
+        code = cli.main(["scan", "--catalog", str(tmp_path / "big.tsv"), "--no-cache",
+                         "--checks", "expected-values", "--report", str(tmp_path / "r.json")])
+        assert code == cli.EXIT_VERIFICATION  # the broken entry
+        assert caps == [256, 256]
+        rows = json.loads((tmp_path / "r.json").read_text())["entries"]
+        assert [{k: v for k, v in row.items() if k != "millis"} for row in rows] == [
+            {"group": "broken",
+             "error": "entry 'broken': builder failed: cyclic group order must be positive"},
+            {"group": "s7",
+             "skipped": "size limit: closure exceeded 256 elements (257 > table limit)"},
+            {"group": "s8",
+             "skipped": "size limit: closure exceeded 256 elements (257 > table limit)"}]
 
     @pytest.mark.parametrize("args", [["tp", "--cap-order", "50000"],
                                       ["pg", "--subgroup", "1"],

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tpcalc import catalog as cat
 from tpcalc import coset_graph as cg
 from tpcalc import group_core as gc
 from tpcalc import presets
@@ -910,6 +911,42 @@ class TestStructure:
         assert gc.classify_structure(zoo["s3"]).is_supersoluble
         assert gc.classify_structure(zoo["c3_c4"]).is_supersoluble
         assert not gc.classify_structure(zoo["s4"]).is_supersoluble
+
+    @staticmethod
+    def _derived_series_oracle(G):
+        """The series with every term recomputed, G' included."""
+        series = [np.arange(G.order, dtype=np.int64)]
+        while True:
+            nxt = gc._derived_of(G, series[-1])
+            if nxt.size == series[-1].size:
+                break
+            series.append(nxt)
+            if nxt.size == 1:
+                break
+        return series
+
+    def test_derived_series_reuses_the_derived_subgroup(self, monkeypatch):
+        """The series is unchanged on every builtin group, and classify_structure
+        forms G' once: as many `_derived_of` calls as the oracle series alone
+        makes, where it used to make one more for `G.derived_elems`."""
+        calls = []
+        derived_of = gc._derived_of
+
+        def counted(G, elems):
+            calls.append(G)
+            return derived_of(G, elems)
+
+        monkeypatch.setattr(gc, "_derived_of", counted)
+        for entry in cat.builtin_catalog():
+            G = gc.GroupTable(entry.group().mul)  # a fresh table: no G' memoised yet
+            calls.clear()
+            oracle = self._derived_series_oracle(G)
+            oracle_calls = len(calls)
+            calls.clear()
+            gc.classify_structure(G)
+            assert len(calls) == oracle_calls, entry.id
+            assert [s.tolist() for s in gc.derived_series(G)] \
+                == [s.tolist() for s in oracle], entry.id
 
 
 class TestSections:

@@ -5,6 +5,7 @@ import pytest
 from tpcalc import group_core as gc
 from tpcalc import presets
 from tpcalc import tp_engine as te
+from tpcalc.arith_nt import factorial_ratio, prime_factors
 from tpcalc.errors import Limits, SizeLimitError, VerificationError, using
 from tpcalc.transversal import p_g
 
@@ -85,6 +86,164 @@ class TestTp:
         for A, B in pairs:
             assert gc.is_isomorphic(A, B)
             assert te.tp(A).tp == te.tp(B).tp
+
+
+def full_monotonicity(G, group_id=""):
+    """Test oracle: the monotonicity check that builds a table and takes tp
+    for every subgroup class representative, quotient and section."""
+    tp_g = te.tp(G).tp
+    classes = gc.lattice(G).classes
+    verdicts = []
+
+    sub_pairs, sections = [], []
+    ok_sub = ok_sec = True
+    for cls in classes:
+        rep = cls[0]
+        if rep.order == G.order:
+            continue
+        H = gc.subgroup_as_group(G, rep)
+        tp_h = te.tp(H).tp
+        sub_pairs.append((rep.order, str(tp_h)))
+        ok_sub = ok_sub and tp_g <= tp_h
+        for N in gc.lattice(H).normal:
+            if N.order in (1, H.order):
+                continue
+            X, _ = gc.quotient_group(H, N)
+            tp_x = te.tp(X).tp
+            sections.append((rep.order, N.order, str(tp_x)))
+            ok_sec = ok_sec and tp_g <= tp_x
+    verdicts.append(te.TheoremVerdict(
+        "monotone-subgroups", group_id, hypothesis_holds=G.order > 1,
+        conclusion_holds=ok_sub, details={"tp": str(tp_g), "pairs": sub_pairs}))
+
+    ok_quot = True
+    quot_pairs = []
+    for cls in classes:
+        rep = cls[0]
+        if len(cls) > 1:
+            continue
+        tp_q = tp_g if rep.order == 1 else te.tp(gc.quotient_group(G, rep)[0]).tp
+        quot_pairs.append((rep.order, str(tp_q)))
+        ok_quot = ok_quot and tp_g <= tp_q
+    verdicts.append(te.TheoremVerdict(
+        "monotone-quotients", group_id, hypothesis_holds=True,
+        conclusion_holds=ok_quot, details={"tp": str(tp_g), "pairs": quot_pairs}))
+    verdicts.append(te.TheoremVerdict(
+        "monotone-sections", group_id, hypothesis_holds=True,
+        conclusion_holds=ok_sec, details={"tp": str(tp_g), "sections": sections}))
+
+    primes = prime_factors(G.order)
+    is_p_group = len(primes) == 1 and G.order > 1
+    hyp = is_p_group and tp_g != 1
+    concl = tp_g <= factorial_ratio(primes[0]) if hyp else True
+    verdicts.append(te.TheoremVerdict(
+        "non-dedekind-p-group", group_id, hypothesis_holds=hyp,
+        conclusion_holds=concl,
+        details={"tp": str(tp_g), "p": primes[0] if is_p_group else None}))
+    return verdicts
+
+
+def _verdict_fields(verdicts):
+    return [(v.theorem, v.hypothesis_holds, v.conclusion_holds, v.details) for v in verdicts]
+
+
+S6_GENERATORS = [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)]
+A6_GENERATORS = [(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)]
+
+
+class TestAbelianShortcut:
+    """Monotonicity gives an abelian subgroup, quotient or section tp = 1
+    from the commutators of its generators, without building its table."""
+
+    def test_matches_the_full_check_on_the_catalog(self, catalog_groups):
+        for name, G in catalog_groups.items():
+            assert _verdict_fields(te.verify_monotonicity(G, name)) \
+                == _verdict_fields(full_monotonicity(G, name)), name
+
+    @pytest.mark.parametrize("gens", [S6_GENERATORS, A6_GENERATORS], ids=["s6", "a6"])
+    def test_matches_the_full_check_past_the_default_limits(self, gens):
+        with using(Limits(order=720, table=720)):
+            G = gc.from_permutation_generators(6, gens)
+            assert _verdict_fields(te.verify_monotonicity(G)) \
+                == _verdict_fields(full_monotonicity(G))
+
+    def test_every_image_taken_as_abelian_is_abelian(self, catalog_groups, monkeypatch):
+        """Rebuild each image the check answered from the commutator test: a
+        subgroup <gens>, a quotient G/N, and every section of an abelian
+        subgroup. Each table is abelian and its tp is 1."""
+        answered = []
+        is_abelian_modulo = gc.is_abelian_modulo
+
+        def recorded(G, gens, N=None):
+            abelian = is_abelian_modulo(G, gens, N)
+            if abelian:
+                answered.append((G, gens, N))
+            return abelian
+
+        monkeypatch.setattr(te, "is_abelian_modulo", recorded)
+        for name, G in catalog_groups.items():
+            te.verify_monotonicity(G, name)
+        images = []
+        for G, gens, N in answered:
+            if N is None:
+                H = gc.subgroup_as_group(G, gc.subgroup_generated(G, gens))
+                images.append(H)
+                images += [gc.quotient_group(H, M)[0] for M in gc.lattice(H).normal
+                           if M.order not in (1, H.order)]
+            else:
+                assert gc.subgroup_generated(G, gens).order == G.order
+                images.append(gc.quotient_group(G, N)[0])
+        assert len(images) > 1000
+        for X in images:
+            assert X.is_abelian, X
+            assert te.tp(X).tp == 1, X
+
+    def test_commutator_helper(self, zoo):
+        S4, D4 = zoo["s4"], zoo["d4"]
+        normal = {N.order: N for N in gc.lattice(S4).normal}
+        assert not gc.is_abelian_modulo(S4, S4.minimal_generators, normal[4])  # S3
+        assert gc.is_abelian_modulo(S4, S4.minimal_generators, normal[12])     # C2
+        center = gc.Subgroup(D4, D4.center_elems)
+        assert center.order == 2
+        assert gc.is_abelian_modulo(D4, D4.minimal_generators, center)          # C2 x C2
+        assert not gc.is_abelian_modulo(D4, D4.minimal_generators)
+        for G in (S4, D4):
+            for x in range(G.order):
+                assert gc.is_abelian_modulo(G, [x])
+        for name, G in zoo.items():
+            if G.order > 24:
+                continue
+            for N in gc.lattice(G).normal:
+                assert gc.is_abelian_modulo(G, G.minimal_generators, N) \
+                    == gc.quotient_group(G, N)[0].is_abelian, (name, N.elems)
+            for H in gc.lattice(G).subgroups:
+                assert gc.is_abelian_modulo(G, H.generators()) \
+                    == gc.subgroup_as_group(G, H).is_abelian, (name, H.elems)
+
+    def test_builds_only_the_non_abelian_tables(self, catalog_groups, monkeypatch):
+        """c2_x_d4's check builds exactly the non-abelian ones of the tables
+        that the full check builds."""
+        G = catalog_groups["c2_x_d4"]
+        te.tp(G)
+        built = []
+
+        def recording(make):
+            def build(*args):
+                made = make(*args)
+                built.append(made[0] if isinstance(made, tuple) else made)
+                return made
+            return build
+
+        for name in ("subgroup_as_group", "quotient_group"):
+            wrapper = recording(getattr(gc, name))
+            monkeypatch.setattr(gc, name, wrapper)
+            monkeypatch.setattr(te, name, wrapper)
+        full_monotonicity(G)
+        every = built[:]
+        built.clear()
+        te.verify_monotonicity(G)
+        assert built and not any(X.is_abelian for X in built)
+        assert len(built) == sum(not X.is_abelian for X in every) < len(every)
 
 
 class TestMonotonicity:
