@@ -45,6 +45,8 @@ from .errors import (
 
 # mask cells (rows x group order) that `all_subgroups` grows in one batch
 GROW_CELLS = 8192
+# table cells that `_check_associativity` compares in one column block
+_ASSOCIATIVITY_CELLS = 1 << 22
 
 
 class GroupTable:
@@ -198,10 +200,17 @@ def _check_associativity(mul: np.ndarray, gens: Sequence[int]) -> None:
     identity: for such a and b, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) =
     x((ab)y). `gens` reaches every element from the identity by right
     multiplication, so the table is associative iff each s in `gens` passes.
+    Each comparison runs on column blocks of about `_ASSOCIATIVITY_CELLS`
+    cells, so its temporaries stay bounded; a table of order up to 2,048 is
+    one block.
     """
+    n = mul.shape[0]
+    width = max(1, _ASSOCIATIVITY_CELLS // n)
     for s in gens:
-        if not np.array_equal(mul[mul[:, s], :], mul[:, mul[s, :]]):
-            raise ParameterError(f"table is not associative (generator {s})")
+        for c in range(0, n, width):
+            cols = slice(c, c + width)
+            if not np.array_equal(mul[mul[:, s], cols], mul[:, mul[s, cols]]):
+                raise ParameterError(f"table is not associative (generator {s})")
 
 
 def _grow(mul: np.ndarray, reached: np.ndarray, frontier: np.ndarray,

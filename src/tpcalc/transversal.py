@@ -33,6 +33,12 @@ from .errors import (
 from .group_core import GroupTable, Subgroup, cosets, is_normal_subgroup, subgroup_relations
 
 PERMANENT_SIZE_CAP = 24
+# Blocks of the permanent with at most this many rows run the Gray-code loop
+# over Python ints, larger ones the int64 vectorised kernel. Crossover on dense
+# k x k blocks of entries 1..5: at k = 4 the loop takes 7.3 µs against 10.5 µs
+# vectorised, at k = 5 14.6 µs against 12.8 µs (x86_64, Python 3.11.7, numpy
+# 2.4.6).
+_LOOP_BLOCK_ROWS = 4
 ENUMERATION_BUDGET = 10**6
 GAMMA_REL_TOL = 1e-9
 
@@ -123,54 +129,117 @@ def weight_matrix(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> Weig
 
 
 def permanent_ryser(M, cap: int = PERMANENT_SIZE_CAP) -> int:
-    """Exact permanent: forced entries peeled, then Ryser inclusion–exclusion
-    on the core.
+    """Exact permanent: forced entries peeled, the rest split into the
+    connected blocks of its support, then Ryser inclusion–exclusion on each
+    block.
 
     A line with one nonzero entry a_ij forces it, since by Laplace expansion
-    per(A) = a_ij * per(A without row i and column j); a zero line, or two
-    lines forcing the same column or row, make the permanent 0. What no longer
-    peels runs vectorised in int64 when its subset-sum products are bounded
-    so overflow cannot occur, and otherwise in a Gray-code loop over Python
-    big ints.
+    per(A) = a_ij * per(A without row i and column j); a zero line makes the
+    permanent 0. What no longer peels falls apart into the connected blocks
+    of its nonzero support, and per(A) is the product of the blocks'
+    permanents (Brualdi & Ryser, *Combinatorial Matrix Theory*, 1991): every
+    permutation with a nonzero product maps each block's rows onto its
+    columns, so a non-square block makes the permanent 0. The split reads
+    only the matrix. A block of at most `_LOOP_BLOCK_ROWS` rows runs the
+    Gray-code loop over Python ints; a larger one runs vectorised in int64
+    when its subset-sum products are bounded so overflow cannot occur, and
+    otherwise in that loop.
     """
-    A = np.asarray(M, dtype=object)
+    A = np.asarray(M)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ParameterError("matrix must be square")
     n = A.shape[0]
     if n > cap:
         raise SizeLimitError(f"permanent size {n} exceeds cap {cap}")
-    forced, A = _peel_forced(A)
-    n = A.shape[0]
-    if forced == 0 or n == 0:
-        return forced
-    bound = 1
-    for i in range(n):
-        bound *= int(sum(abs(int(x)) for x in A[i]))
-    if bound << n < (1 << 62):
-        return forced * _ryser_vectorised(A.astype(np.int64))
-    return forced * _ryser_bigint(A)
+    rows = A.tolist()
+    if A.dtype.kind not in "iu":
+        rows = [[int(x) for x in row] for row in rows]
+    forced, live, in_col = _peel_forced(rows)
+    if forced == 0:
+        return 0
+    blocks = list(_support_blocks(live, in_col))
+    if any(len(rs) != len(cs) for rs, cs in blocks):
+        return 0
+    for rs, cs in blocks:
+        forced *= _block_permanent([[live[i].get(j, 0) for j in cs] for i in rs])
+    return forced
 
 
-def _peel_forced(A: np.ndarray) -> tuple[int, np.ndarray]:
-    """Expand along rows, then columns, with one nonzero entry until none is
-    left. Returns the product of the forced entries and the core that
-    remains; the product is 0 when the permanent is."""
+def _peel_forced(rows: list[list[int]]):
+    """Laplace steps on lines with one nonzero entry until none is left.
+
+    Returns the product of the forced entries, 0 when a zero line shows the
+    permanent is 0; the nonzero entries of each row left, as {row: {column:
+    entry}}; and the rows left in each column (None for a removed column).
+    """
+    n = len(rows)
+    live = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(rows)}
+    in_col: list[set[int] | None] = [set() for _ in range(n)]
+    for i, entries in live.items():
+        for j in entries:
+            in_col[j].add(i)
     forced = 1
-    idle = 0  # consecutive passes, rows or columns, that peeled nothing
-    while A.shape[0] and idle < 2:
-        nonzero = A != 0
-        counts = nonzero.sum(axis=1)
-        if not counts.all():
-            return 0, A
-        rows = np.flatnonzero(counts == 1)
-        cols = nonzero[rows].argmax(axis=1)
-        if np.unique(cols).size < cols.size:
-            return 0, A
-        for i, j in zip(rows, cols):
-            forced *= int(A[i, j])
-        idle = 0 if rows.size else idle + 1
-        A = np.delete(np.delete(A, rows, axis=0), cols, axis=1).T
-    return forced, A
+    todo = [(True, i) for i in range(n)] + [(False, j) for j in range(n)]
+    while todo:
+        is_row, x = todo.pop()
+        if is_row:
+            entries = live.get(x)
+            if entries is None or len(entries) > 1:
+                continue
+            if not entries:
+                return 0, live, in_col
+            i, ((j, v),) = x, entries.items()
+        else:
+            hits = in_col[x]
+            if hits is None or len(hits) > 1:
+                continue
+            if not hits:
+                return 0, live, in_col
+            (i,), j = hits, x
+            v = live[i][j]
+        forced *= v
+        for other in live.pop(i):
+            if other != j:
+                in_col[other].discard(i)
+                todo.append((False, other))
+        for other in in_col[j]:
+            if other != i:
+                del live[other][j]
+                todo.append((True, other))
+        in_col[j] = None
+    return forced, live, in_col
+
+
+def _support_blocks(live: dict[int, dict[int, int]], in_col):
+    """The connected blocks of the support left by `_peel_forced`, each as
+    (rows, columns) in the order a breadth-first walk meets them."""
+    seen_rows: set[int] = set()
+    for start in live:
+        if start in seen_rows:
+            continue
+        seen_rows.add(start)
+        rs, cs, seen_cols = [start], [], set()
+        for i in rs:  # rs grows as the walk meets new rows
+            for j in live[i]:
+                if j not in seen_cols:
+                    seen_cols.add(j)
+                    cs.append(j)
+                    for other in in_col[j]:
+                        if other not in seen_rows:
+                            seen_rows.add(other)
+                            rs.append(other)
+        yield rs, cs
+
+
+def _block_permanent(B: list[list[int]]) -> int:
+    k = len(B)
+    if k > _LOOP_BLOCK_ROWS:
+        bound = 1
+        for row in B:
+            bound *= sum(abs(v) for v in row)
+        if bound << k < (1 << 62):
+            return _ryser_vectorised(np.array(B, dtype=np.int64))
+    return _ryser_bigint(B)
 
 
 def _ryser_vectorised(A: np.ndarray) -> int:
@@ -210,9 +279,9 @@ def _parity_signs(count: int) -> np.ndarray:
     return signs
 
 
-def _ryser_bigint(A: np.ndarray) -> int:
-    n = A.shape[0]
-    cols = [[int(A[i, j]) for i in range(n)] for j in range(n)]
+def _ryser_bigint(A) -> int:
+    n = len(A)
+    cols = [[int(x) for x in col] for col in zip(*A)]
     sums = [0] * n
     total = 0
     gray = 0

@@ -799,29 +799,45 @@ class TestCli:
         ["tp", "cyclic 3000"]])
     def test_refused_in_a_small_process(self, tmp_path, args):
         """At the default limits S7 and S8 are skipped, and cyclic 3000
-        refused, before a table is allocated: the process peaks under 60 MB.
-        VmHWM is the child's own peak; ru_maxrss would keep the parent's
-        across the fork and exec."""
+        refused, before a table is allocated: the process peaks under 60 MB."""
         for degree in (7, 8):
             cycle = tuple(range(1, degree)) + (0,)
             swap = (1, 0) + tuple(range(2, degree))
             (tmp_path / f"s{degree}.txt").write_text(
                 gc.write_permutation_generators(degree, [cycle, swap]))
         (tmp_path / "big.tsv").write_text("s8\tperm 8 s8.txt\ns7\tperm 7 s7.txt\n")
+        code, peak_kb = self._run_child(tmp_path, args)
+        if args[0] == "scan":
+            assert code == cli.EXIT_OK
+            rows = json.loads((tmp_path / "r.json").read_text())["entries"]
+            assert [row["group"] for row in rows if "skipped" in row] == ["s7", "s8"]
+        else:
+            assert code == cli.EXIT_RESOURCE
+        assert peak_kb <= 60 * 1024
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_s7_table_is_validated_in_bounded_memory(self, tmp_path):
+        """`pg` builds and validates S7's 5,040-element table (97 MB of
+        int32). Light's test compares column blocks, so the child peaks
+        near 173 MB; the whole n x n comparison at once peaked near 358 MB."""
+        (tmp_path / "s7.txt").write_text(gc.write_permutation_generators(
+            7, [(1, 2, 3, 4, 5, 6, 0), (1, 0, 2, 3, 4, 5, 6)]))
+        code, peak_kb = self._run_child(tmp_path, ["pg", "perm 7 s7.txt", "--subgroup", "1"])
+        assert code == cli.EXIT_OK
+        assert peak_kb <= 250 * 1024
+
+    @staticmethod
+    def _run_child(tmp_path, args):
+        """Exit code and peak RSS in kB of `tpcalc ARGS` in a child process.
+        VmHWM is the child's own peak; ru_maxrss would keep the parent's
+        across the fork and exec."""
         script = ("import re, sys; from tpcalc.cli import main; code = main(sys.argv[1:]); "
                   "print(re.search(r'VmHWM:\\s*(\\d+)', open('/proc/self/status').read())[1]); "
                   "sys.exit(code)")
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
         proc = subprocess.run([sys.executable, "-c", script, *args], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=120)
-        peak_kb = int(proc.stdout.split()[-1])
-        if args[0] == "scan":
-            assert proc.returncode == cli.EXIT_OK
-            rows = json.loads((tmp_path / "r.json").read_text())["entries"]
-            assert [row["group"] for row in rows if "skipped" in row] == ["s7", "s8"]
-        else:
-            assert proc.returncode == cli.EXIT_RESOURCE
-        assert peak_kb <= 60 * 1024
+        return proc.returncode, int(proc.stdout.split()[-1])
 
     def test_exit_code_resource_cap(self, capsys):
         assert cli.main(["tp", "dihedral 12", "--cap-order", "10"]) == cli.EXIT_RESOURCE

@@ -314,6 +314,32 @@ class TestTableValidation:
         with pytest.raises(ParameterError, match="not associative"):
             gc.GroupTable(mul)
 
+    def test_nonassociative_fault_in_the_last_column_block(self, monkeypatch):
+        # The order-520 table above fails Light's test for its generator 1 in
+        # columns 3, 4, 263 and 264. Relabelled so they become 516..519, and
+        # compared in 100-column blocks, every block but the last of six passes.
+        mul = np.array(gc.cyclic(520).mul)
+        rows, cols = [1, 261], [4, 264]
+        mul[np.ix_(rows, cols)] = mul[np.ix_(rows[::-1], cols)]
+        perm = np.arange(520)
+        perm[[3, 4, 263, 264, 516, 517, 518, 519]] = [516, 517, 518, 519, 3, 4, 263, 264]
+        relabelled = np.empty_like(mul)
+        relabelled[np.ix_(perm, perm)] = perm[mul]
+        monkeypatch.setattr(gc, "_ASSOCIATIVITY_CELLS", 520 * 100)
+        blocks = []
+        array_equal = np.array_equal
+
+        def recording(a, b):
+            equal = array_equal(a, b)
+            if np.ndim(a) == 2:  # a block of Light's test, not a 1-D axiom check
+                blocks.append((np.shape(a), equal))
+            return equal
+
+        monkeypatch.setattr(np, "array_equal", recording)
+        with pytest.raises(ParameterError, match="not associative"):
+            gc.GroupTable(relabelled)
+        assert blocks == [((520, 100), True)] * 5 + [((520, 20), False)]
+
     def test_every_zoo_table_revalidates(self, zoo):
         for G in zoo.values():
             gc.GroupTable(G.mul)  # full checks run again without complaint

@@ -59,6 +59,17 @@ def _refuse_ryser(*args):
     raise AssertionError("Ryser ran on a matrix the peel should settle")
 
 
+def _record_kernel_sizes(monkeypatch) -> list[tuple[str, int]]:
+    """Patch both Ryser kernels to log (kernel, rows) of each block they get."""
+    sizes = []
+    for kernel in ("bigint", "vectorised"):
+        run = getattr(tv, f"_ryser_{kernel}")
+        monkeypatch.setattr(tv, f"_ryser_{kernel}",
+                            lambda A, kernel=kernel, run=run:
+                            sizes.append((kernel, len(A))) or run(A))
+    return sizes
+
+
 def subgroup_of_order(G, k):
     return next(s for s in gc.all_subgroups(G) if s.order == k)
 
@@ -274,7 +285,50 @@ class TestPermanent:
                             lambda A: sizes.append(A.shape[0]) or vectorised(A))
         monkeypatch.setattr(tv, "_ryser_bigint", _refuse_ryser)
         assert tv.permanent_ryser(M) == math.prod(permanent_oracle(B) for B in blocks)
-        assert sizes == [15]  # nothing peels, so the split branch ran
+        assert sorted(sizes) == [5, 5, 5]  # nothing peels; each block runs alone
+
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(st.integers(1, 7), st.integers(1, 4), st.booleans(), st.floats(0.3, 1.0),
+           st.integers(0, 10**6))
+    def test_permuted_blocks_against_expansion_oracle(self, n, k, bigint, density, seed):
+        # rows and columns are cut into k runs each, independently, so block
+        # b (row run b by column run b) may be square or not
+        rng = np.random.default_rng(seed)
+        k = min(k, n)
+        row_cuts, col_cuts = ([0, *sorted(rng.choice(np.arange(1, n), k - 1, replace=False)), n]
+                              for _ in range(2))
+        M = np.zeros((n, n), dtype=object if bigint else np.int64)
+        for b in range(k):
+            r0, r1, c0, c1 = row_cuts[b], row_cuts[b + 1], col_cuts[b], col_cuts[b + 1]
+            block = rng.integers(-3, 6, size=(r1 - r0, c1 - c0))
+            block *= rng.random(block.shape) < density
+            M[r0:r1, c0:c1] = block.astype(object) * (10**12 + 7) if bigint else block
+        M = M[rng.permutation(n)][:, rng.permutation(n)]
+        assert tv.permanent_ryser(M) == permanent_oracle(M)
+
+    def test_unpeelable_non_square_block_is_zero(self, monkeypatch):
+        # rows 0-2 meet only columns 0-1, rows 3-4 only columns 2-4: every
+        # line has two or more nonzero entries, so nothing peels
+        M = np.zeros((5, 5), dtype=np.int64)
+        M[:3, :2] = [[1, 2], [3, 1], [2, 2]]
+        M[3:, 2:] = [[1, 1, 4], [2, 5, 1]]
+        rng = np.random.default_rng(5)
+        M = M[rng.permutation(5)][:, rng.permutation(5)]
+        assert permanent_oracle(M) == 0
+        monkeypatch.setattr(tv, "_ryser_vectorised", _refuse_ryser)
+        monkeypatch.setattr(tv, "_ryser_bigint", _refuse_ryser)
+        assert tv.permanent_ryser(M) == 0
+
+    def test_six_dense_blocks_reach_the_kernels_as_blocks(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        blocks = [rng.integers(1, 8, size=(4, 4)) for _ in range(6)]
+        M = np.zeros((24, 24), dtype=np.int64)
+        for b, B in enumerate(blocks):
+            M[4 * b:4 * b + 4, 4 * b:4 * b + 4] = B
+        M = M[rng.permutation(24)][:, rng.permutation(24)]
+        sizes = _record_kernel_sizes(monkeypatch)
+        assert tv.permanent_ryser(M) == math.prod(permanent_oracle(B) for B in blocks)
+        assert sizes == [("bigint", 4)] * 6
 
 
 class TestEnumeration:
@@ -373,6 +427,31 @@ class TestTripleAgreement:
                         if H.order ** H.index <= 10**4:
                             count = tv.dt_enumerate(G, H, K)
                             assert value == Fraction(count, H.order ** H.index)
+
+
+    def test_permanent_blocks_are_no_larger_than_graph_components(self, zoo, monkeypatch):
+        # the permanent splits by the support of W alone; its blocks are the
+        # coset graph's components with t > 1, as a nonzero entry is an edge
+        # and a component with t = 1 peels
+        sizes = _record_kernel_sizes(monkeypatch)
+        pairs = 0
+        for name, G in zoo.items():
+            if G.order > 24:
+                continue
+            by_order = {}
+            for s in gc.all_subgroups(G):
+                by_order.setdefault(s.order, []).append(s)
+            for bucket in by_order.values():
+                for H in bucket:
+                    for K in bucket:
+                        sizes.clear()
+                        tv.permanent_ryser(tv.weight_matrix(G, H, K).entries)
+                        got = sorted(k for _, k in sizes)
+                        ts = [c.t for c in cg.build_coset_graph(G, H, K).components]
+                        assert max(got, default=1) <= max(ts), (name, H.elems, K.elems)
+                        assert got == sorted(t for t in ts if t > 1), (name, H.elems, K.elems)
+                        pairs += 1
+        assert pairs > 500
 
 
 class TestStochasticForm:
