@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource limit.
-Each command runs under one `Limits`: `--cap-order N` (default 256) gives
+Each command runs under one `Limits`: `--cap-order N` (N >= 1, default 256) gives
 `Limits(N, min(N, 20_000))`; `pg`, `graph` and `nt` run under `Limits()`.
 """
 
@@ -198,6 +198,8 @@ def cmd_scan(args) -> int:
 
 def cmd_nt(args) -> int:
     if args.nt_command == "prodpi":
+        if args.max_sum < 2:
+            raise ParameterError(f"--max-sum must be at least 2, got {args.max_sum}")
         rpt = prodpi_collision_scan(args.max_sum)
         payload = {
             "max_sum": rpt.max_sum,
@@ -304,6 +306,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("a builder expression or --table file is required")
     n = getattr(args, "cap_order", None)
     try:
+        if n is not None and n < 1:
+            raise ParameterError(f"--cap-order must be at least 1, got {n}")
         with using(Limits() if n is None else Limits(n, min(n, Limits.table))):
             return args.func(args)
     except SizeLimitError as exc:

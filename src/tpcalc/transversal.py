@@ -1,6 +1,7 @@
 """Exact probabilities that a left transversal of H is a right transversal of K,
-with three independent computation routes (component sizes, matrix permanent,
-brute-force enumeration) and the bound suite.
+with three independent computation routes (component sizes, the permanent of
+the weight matrix by Ryser on each block of its support, brute-force
+enumeration) and the bound suite.
 
 All probabilities are exact `Fraction`s; the only floats are in the
 gamma-function bound, with a stated relative tolerance.
@@ -8,6 +9,7 @@ gamma-function bound, with a stated relative tolerance.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -33,12 +35,6 @@ from .errors import (
 from .group_core import GroupTable, Subgroup, cosets, is_normal_subgroup, subgroup_relations
 
 PERMANENT_SIZE_CAP = 24
-# Blocks of the permanent with at most this many rows run the Gray-code loop
-# over Python ints, larger ones the int64 vectorised kernel. Crossover on dense
-# k x k blocks of entries 1..5: at k = 4 the loop takes 7.3 µs against 10.5 µs
-# vectorised, at k = 5 14.6 µs against 12.8 µs (x86_64, Python 3.11.7, numpy
-# 2.4.6).
-_LOOP_BLOCK_ROWS = 4
 ENUMERATION_BUDGET = 10**6
 GAMMA_REL_TOL = 1e-9
 
@@ -129,21 +125,15 @@ def weight_matrix(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> Weig
 
 
 def permanent_ryser(M, cap: int = PERMANENT_SIZE_CAP) -> int:
-    """Exact permanent: forced entries peeled, the rest split into the
-    connected blocks of its support, then Ryser inclusion–exclusion on each
-    block.
+    """Exact permanent of an integer matrix: its nonzero support split into
+    connected blocks, then Ryser inclusion–exclusion on each block over
+    Python ints.
 
-    A line with one nonzero entry a_ij forces it, since by Laplace expansion
-    per(A) = a_ij * per(A without row i and column j); a zero line makes the
-    permanent 0. What no longer peels falls apart into the connected blocks
-    of its nonzero support, and per(A) is the product of the blocks'
-    permanents (Brualdi & Ryser, *Combinatorial Matrix Theory*, 1991): every
-    permutation with a nonzero product maps each block's rows onto its
-    columns, so a non-square block makes the permanent 0. The split reads
-    only the matrix. A block of at most `_LOOP_BLOCK_ROWS` rows runs the
-    Gray-code loop over Python ints; a larger one runs vectorised in int64
-    when its subset-sum products are bounded so overflow cannot occur, and
-    otherwise in that loop.
+    per(A) is the product of the blocks' permanents (Brualdi & Ryser,
+    *Combinatorial Matrix Theory*, 1991): every permutation with a nonzero
+    product maps each block's rows onto its columns, so a non-square block
+    makes the permanent 0. A zero row is a block without columns, and a zero
+    column leaves some block a column short. The split reads only the matrix.
     """
     A = np.asarray(M)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -152,136 +142,52 @@ def permanent_ryser(M, cap: int = PERMANENT_SIZE_CAP) -> int:
     if n > cap:
         raise SizeLimitError(f"permanent size {n} exceeds cap {cap}")
     rows = A.tolist()
-    if A.dtype.kind not in "iu":
+    if A.dtype.kind not in "biu":
+        if not all(isinstance(x, numbers.Integral) for row in rows for x in row):
+            raise ParameterError(f"permanent entries must be integers, got dtype {A.dtype}")
         rows = [[int(x) for x in row] for row in rows]
-    forced, live, in_col = _peel_forced(rows)
-    if forced == 0:
-        return 0
-    blocks = list(_support_blocks(live, in_col))
+    blocks = list(_support_blocks([[j for j, v in enumerate(row) if v] for row in rows]))
     if any(len(rs) != len(cs) for rs, cs in blocks):
         return 0
+    per = 1
     for rs, cs in blocks:
-        forced *= _block_permanent([[live[i].get(j, 0) for j in cs] for i in rs])
-    return forced
+        per *= _ryser([[rows[i][j] for j in cs] for i in rs])
+    return per
 
 
-def _peel_forced(rows: list[list[int]]):
-    """Laplace steps on lines with one nonzero entry until none is left.
-
-    Returns the product of the forced entries, 0 when a zero line shows the
-    permanent is 0; the nonzero entries of each row left, as {row: {column:
-    entry}}; and the rows left in each column (None for a removed column).
-    """
-    n = len(rows)
-    live = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(rows)}
-    in_col: list[set[int] | None] = [set() for _ in range(n)]
-    for i, entries in live.items():
-        for j in entries:
-            in_col[j].add(i)
-    forced = 1
-    todo = [(True, i) for i in range(n)] + [(False, j) for j in range(n)]
-    while todo:
-        is_row, x = todo.pop()
-        if is_row:
-            entries = live.get(x)
-            if entries is None or len(entries) > 1:
-                continue
-            if not entries:
-                return 0, live, in_col
-            i, ((j, v),) = x, entries.items()
-        else:
-            hits = in_col[x]
-            if hits is None or len(hits) > 1:
-                continue
-            if not hits:
-                return 0, live, in_col
-            (i,), j = hits, x
-            v = live[i][j]
-        forced *= v
-        for other in live.pop(i):
-            if other != j:
-                in_col[other].discard(i)
-                todo.append((False, other))
-        for other in in_col[j]:
-            if other != i:
-                del live[other][j]
-                todo.append((True, other))
-        in_col[j] = None
-    return forced, live, in_col
-
-
-def _support_blocks(live: dict[int, dict[int, int]], in_col):
-    """The connected blocks of the support left by `_peel_forced`, each as
-    (rows, columns) in the order a breadth-first walk meets them."""
-    seen_rows: set[int] = set()
-    for start in live:
-        if start in seen_rows:
+def _support_blocks(support: list[list[int]]):
+    """The connected blocks of a square matrix's support, given as the nonzero
+    columns of each row; each block is (rows, columns) in the order a
+    breadth-first walk meets them."""
+    n = len(support)
+    in_col: list[list[int]] = [[] for _ in range(n)]
+    for i, cs in enumerate(support):
+        for j in cs:
+            in_col[j].append(i)
+    seen_rows = [False] * n
+    seen_cols = [False] * n
+    for start in range(n):
+        if seen_rows[start]:
             continue
-        seen_rows.add(start)
-        rs, cs, seen_cols = [start], [], set()
+        seen_rows[start] = True
+        rs, cs = [start], []
         for i in rs:  # rs grows as the walk meets new rows
-            for j in live[i]:
-                if j not in seen_cols:
-                    seen_cols.add(j)
+            for j in support[i]:
+                if not seen_cols[j]:
+                    seen_cols[j] = True
                     cs.append(j)
                     for other in in_col[j]:
-                        if other not in seen_rows:
-                            seen_rows.add(other)
+                        if not seen_rows[other]:
+                            seen_rows[other] = True
                             rs.append(other)
         yield rs, cs
 
 
-def _block_permanent(B: list[list[int]]) -> int:
-    k = len(B)
-    if k > _LOOP_BLOCK_ROWS:
-        bound = 1
-        for row in B:
-            bound *= sum(abs(v) for v in row)
-        if bound << k < (1 << 62):
-            return _ryser_vectorised(np.array(B, dtype=np.int64))
-    return _ryser_bigint(B)
-
-
-def _ryser_vectorised(A: np.ndarray) -> int:
-    n = A.shape[0]
-    lo = min(n, 14)
-    hi = n - lo
-    r_lo = _subset_row_sums(A[:, :lo])  # subset-of-low-columns row sums, shape (2^lo, n)
-    par_lo = _parity_signs(1 << lo)
-    total = 0
-    if hi == 0:
-        prods = np.multiply.reduce(r_lo, axis=1)
-        total = int(np.dot(par_lo, prods))
-    else:
-        r_hi = _subset_row_sums(A[:, lo:])
-        par_hi = _parity_signs(1 << hi)
-        for h in range(1 << hi):
-            prods = np.multiply.reduce(r_lo + r_hi[h], axis=1)
-            total += int(par_hi[h]) * int(np.dot(par_lo, prods))
-    return int((-1) ** n * total)
-
-
-def _subset_row_sums(cols: np.ndarray) -> np.ndarray:
-    """Row i is the sum of the columns of `cols` whose bit is set in i:
-    each doubling appends the sums so far plus the next column."""
-    sums = np.zeros((1, cols.shape[0]), dtype=np.int64)
-    for b in range(cols.shape[1]):
-        sums = np.concatenate((sums, sums + cols[:, b]))
-    return sums
-
-
-def _parity_signs(count: int) -> np.ndarray:
-    """(-1)^popcount(i) for i < count, a power of two: each doubling appends
-    the negated signs, as setting the next bit flips the parity."""
-    signs = np.ones(1, dtype=np.int64)
-    while signs.size < count:
-        signs = np.concatenate((signs, -signs))
-    return signs
-
-
-def _ryser_bigint(A) -> int:
+def _ryser(A: list[list[int]]) -> int:
+    """Ryser's formula, the column subsets visited in Gray-code order so each
+    step adds or removes one column; the k-th subset has k's parity."""
     n = len(A)
-    cols = [[int(x) for x in col] for col in zip(*A)]
+    cols = list(zip(*A))
     sums = [0] * n
     total = 0
     gray = 0
@@ -302,7 +208,7 @@ def _ryser_bigint(A) -> int:
                 prod = 0
                 break
             prod *= v
-        if bin(gray).count("1") & 1:
+        if k & 1:
             total -= prod
         else:
             total += prod

@@ -698,6 +698,23 @@ class TestCli:
         assert captured.out == ""
         assert "usage error" in captured.err
 
+    @pytest.mark.parametrize("max_sum", ["1", "-3"])
+    def test_nt_prodpi_rejects_max_sum_below_2(self, capsys, max_sum):
+        assert cli.main(["nt", "prodpi", "--max-sum", max_sum]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error: --max-sum" in captured.err
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    @pytest.mark.parametrize("args", [["group", "show", "cyclic 3"], ["tp", "cyclic 3"],
+                                      ["verify", "expected-values"],
+                                      ["scan", "--no-cache", "--checks", "expected-values"]])
+    def test_cap_order_below_1_is_a_usage_error(self, capsys, args, cap):
+        assert cli.main([*args, "--cap-order", cap]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error: --cap-order" in captured.err
+
     def test_verify_builtin_subset(self, capsys, tmp_path):
         path = tmp_path / "mini.tsv"
         path.write_text("s3\tdihedral 3\nq8\tquaternion 8\n")

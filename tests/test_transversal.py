@@ -56,17 +56,14 @@ def dt_count_oracle(G, H, K) -> int:
 
 
 def _refuse_ryser(*args):
-    raise AssertionError("Ryser ran on a matrix the peel should settle")
+    raise AssertionError("Ryser ran on a matrix the block split should settle")
 
 
-def _record_kernel_sizes(monkeypatch) -> list[tuple[str, int]]:
-    """Patch both Ryser kernels to log (kernel, rows) of each block they get."""
+def _record_kernel_sizes(monkeypatch) -> list[int]:
+    """Patch the Ryser kernel to log the rows of each block it gets."""
     sizes = []
-    for kernel in ("bigint", "vectorised"):
-        run = getattr(tv, f"_ryser_{kernel}")
-        monkeypatch.setattr(tv, f"_ryser_{kernel}",
-                            lambda A, kernel=kernel, run=run:
-                            sizes.append((kernel, len(A))) or run(A))
+    run = tv._ryser
+    monkeypatch.setattr(tv, "_ryser", lambda A: sizes.append(len(A)) or run(A))
     return sizes
 
 
@@ -207,8 +204,9 @@ class TestPermanent:
         assert tv.permanent_ryser(M) == permanent_oracle(M)
 
     def test_size_cap(self):
-        with pytest.raises(SizeLimitError):
-            tv.permanent_ryser(np.eye(25, dtype=int))
+        for M in (np.eye(25, dtype=int), np.full((25, 25), 0.5)):
+            with pytest.raises(SizeLimitError):  # checked before the entries
+                tv.permanent_ryser(M)
 
     @settings(deadline=None, max_examples=40, derandomize=True)
     @given(st.integers(2, 6), st.integers(0, 10**6))
@@ -220,20 +218,24 @@ class TestPermanent:
         cp = rng.permutation(n)
         assert tv.permanent_ryser(M[rp][:, cp]) == want
 
-    def test_parity_signs_match_the_loop(self):
-        for bits in range(15):
-            par = np.zeros(1 << bits, dtype=np.int64)
-            for i in range(1, 1 << bits):
-                par[i] = par[i >> 1] ^ (i & 1)
-            got = tv._parity_signs(1 << bits)
-            assert got.dtype == np.int64 and np.array_equal(got, 1 - 2 * par)
+    @pytest.mark.parametrize("M", [np.array([[1.5]]), np.array([[2.0, 0.0], [0.0, 1.0]]),
+                                   np.array([[Fraction(3, 2)]], dtype=object)])
+    def test_non_integer_entries_are_refused(self, M):
+        with pytest.raises(ParameterError, match="integers"):
+            tv.permanent_ryser(M)
 
-    def test_scaled_permutation_peels_without_ryser(self, monkeypatch):
-        monkeypatch.setattr(tv, "_ryser_vectorised", _refuse_ryser)
-        monkeypatch.setattr(tv, "_ryser_bigint", _refuse_ryser)
+    def test_bool_and_integral_object_entries_are_integers(self):
+        assert tv.permanent_ryser(np.ones((3, 3), dtype=bool)) == 6
+        M = np.array([[np.int64(2), 1], [True, np.uint8(3)]], dtype=object)
+        assert tv.permanent_ryser(M) == 7
+
+    def test_scaled_permutation_is_one_by_one_blocks(self, monkeypatch):
+        sizes = _record_kernel_sizes(monkeypatch)
         P = np.eye(24, dtype=np.int64)[np.random.default_rng(24).permutation(24)]
         for k in (1, 3, -2, 10**6):
+            sizes.clear()
             assert tv.permanent_ryser(k * P) == k**24
+            assert sizes == [1] * 24
 
     @settings(deadline=None, max_examples=150, derandomize=True)
     @given(st.integers(1, 7), st.floats(0.15, 1.0), st.integers(0, 10**6),
@@ -249,26 +251,13 @@ class TestPermanent:
             rows = rng.choice(n, size=2, replace=False)
             M[rows] = 0
             M[rows, rng.integers(n)] = rng.choice([-2, 1, 4], size=2)
+            assert permanent_oracle(M) == 0
+        if plant in ("zero-row", "zero-column"):
+            with pytest.MonkeyPatch.context() as mp:  # a non-square block, before Ryser
+                mp.setattr(tv, "_ryser", _refuse_ryser)
+                assert tv.permanent_ryser(M) == permanent_oracle(M) == 0
         else:
             assert tv.permanent_ryser(M) == permanent_oracle(M)
-            return
-        assert permanent_oracle(M) == 0
-        with pytest.MonkeyPatch.context() as mp:  # found by the peel, before Ryser
-            mp.setattr(tv, "_ryser_vectorised", _refuse_ryser)
-            mp.setattr(tv, "_ryser_bigint", _refuse_ryser)
-            assert tv.permanent_ryser(M) == 0
-
-    def test_split_ryser_branch_matches_bigint(self):
-        # at n = 16 the vectorised kernel splits the columns 14 + 2
-        n = 16
-        eye = np.eye(n, dtype=np.int64)
-        M = eye | np.roll(eye, 1, axis=1) | (np.random.default_rng(16).random((n, n)) < 0.1)
-        assert (np.count_nonzero(M, axis=0) >= 2).all()
-        assert (np.count_nonzero(M, axis=1) >= 2).all()
-        want = tv._ryser_bigint(M.astype(object))
-        assert want >= 2
-        assert tv._ryser_vectorised(M) == want
-        assert tv.permanent_ryser(M) == want
 
     def test_permuted_block_diagonal_is_product_of_blocks(self, monkeypatch):
         rng = np.random.default_rng(15)
@@ -279,13 +268,9 @@ class TestPermanent:
         for b, B in enumerate(blocks):
             M[5 * b:5 * b + 5, 5 * b:5 * b + 5] = B
         M = M[rng.permutation(15)][:, rng.permutation(15)]
-        sizes = []
-        vectorised = tv._ryser_vectorised
-        monkeypatch.setattr(tv, "_ryser_vectorised",
-                            lambda A: sizes.append(A.shape[0]) or vectorised(A))
-        monkeypatch.setattr(tv, "_ryser_bigint", _refuse_ryser)
+        sizes = _record_kernel_sizes(monkeypatch)
         assert tv.permanent_ryser(M) == math.prod(permanent_oracle(B) for B in blocks)
-        assert sorted(sizes) == [5, 5, 5]  # nothing peels; each block runs alone
+        assert sizes == [5, 5, 5]  # each block runs alone
 
     @settings(deadline=None, max_examples=150, derandomize=True)
     @given(st.integers(1, 7), st.integers(1, 4), st.booleans(), st.floats(0.3, 1.0),
@@ -308,15 +293,14 @@ class TestPermanent:
 
     def test_unpeelable_non_square_block_is_zero(self, monkeypatch):
         # rows 0-2 meet only columns 0-1, rows 3-4 only columns 2-4: every
-        # line has two or more nonzero entries, so nothing peels
+        # line has two or more nonzero entries, yet neither block is square
         M = np.zeros((5, 5), dtype=np.int64)
         M[:3, :2] = [[1, 2], [3, 1], [2, 2]]
         M[3:, 2:] = [[1, 1, 4], [2, 5, 1]]
         rng = np.random.default_rng(5)
         M = M[rng.permutation(5)][:, rng.permutation(5)]
         assert permanent_oracle(M) == 0
-        monkeypatch.setattr(tv, "_ryser_vectorised", _refuse_ryser)
-        monkeypatch.setattr(tv, "_ryser_bigint", _refuse_ryser)
+        monkeypatch.setattr(tv, "_ryser", _refuse_ryser)
         assert tv.permanent_ryser(M) == 0
 
     def test_six_dense_blocks_reach_the_kernels_as_blocks(self, monkeypatch):
@@ -328,7 +312,7 @@ class TestPermanent:
         M = M[rng.permutation(24)][:, rng.permutation(24)]
         sizes = _record_kernel_sizes(monkeypatch)
         assert tv.permanent_ryser(M) == math.prod(permanent_oracle(B) for B in blocks)
-        assert sizes == [("bigint", 4)] * 6
+        assert sizes == [4] * 6
 
 
 class TestEnumeration:
@@ -431,8 +415,7 @@ class TestTripleAgreement:
 
     def test_permanent_blocks_are_no_larger_than_graph_components(self, zoo, monkeypatch):
         # the permanent splits by the support of W alone; its blocks are the
-        # coset graph's components with t > 1, as a nonzero entry is an edge
-        # and a component with t = 1 peels
+        # coset graph's components, t = 1 included, as a nonzero entry is an edge
         sizes = _record_kernel_sizes(monkeypatch)
         pairs = 0
         for name, G in zoo.items():
@@ -446,10 +429,8 @@ class TestTripleAgreement:
                     for K in bucket:
                         sizes.clear()
                         tv.permanent_ryser(tv.weight_matrix(G, H, K).entries)
-                        got = sorted(k for _, k in sizes)
                         ts = [c.t for c in cg.build_coset_graph(G, H, K).components]
-                        assert max(got, default=1) <= max(ts), (name, H.elems, K.elems)
-                        assert got == sorted(t for t in ts if t > 1), (name, H.elems, K.elems)
+                        assert sorted(sizes) == sorted(ts), (name, H.elems, K.elems)
                         pairs += 1
         assert pairs > 500
 
