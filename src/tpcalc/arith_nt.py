@@ -16,6 +16,9 @@ from typing import Iterator, Sequence
 from .errors import BudgetError, ParameterError, PreconditionError
 
 PROD_SCAN_MAX_SUM = 40
+# the relative tolerance of every float comparison: the gamma-function
+# bounds and the Schur check on non-integer vectors
+GAMMA_REL_TOL = 1e-9
 
 # Vectors for the majorisation and product-comparison operations: any sequence
 # of non-negative reals; exact arithmetic kicks in when every entry is an
@@ -135,6 +138,8 @@ def prodpi_collision_scan(max_sum: int) -> CollisionReport:
     Collisions between two non-prime multisets are reported separately; they are
     informative only.
     """
+    if max_sum < 2:
+        raise ParameterError(f"max_sum must be at least 2, got {max_sum}")
     if max_sum > PROD_SCAN_MAX_SUM:
         raise BudgetError(f"max_sum {max_sum} exceeds scan budget {PROD_SCAN_MAX_SUM}")
     by_value: dict[tuple[int, int], list[tuple[int, ...]]] = {}
@@ -212,7 +217,7 @@ def _h_value(x: Sequence) -> tuple[Fraction | float, bool]:
     return math.exp(sum(log_f(float(v)) for v in x)), False
 
 
-def schur_strict_check(x: RealVector, y: RealVector, rel_tol: float = 1e-9) -> SchurVerdict:
+def schur_strict_check(x: RealVector, y: RealVector) -> SchurVerdict:
     """Check the strict product comparison h(x) > h(y) for h = prod f(.) under
     the hypotheses: x, y decreasing, x weakly majorised by y, x has pairwise
     distinct coordinates, and the partial-sum inequality is strict from some
@@ -251,7 +256,7 @@ def schur_strict_check(x: RealVector, y: RealVector, rel_tol: float = 1e-9) -> S
     if exact:
         holds = h_x > h_y
     else:
-        holds = float(h_x) > float(h_y) * (1 - rel_tol)
+        holds = float(h_x) > float(h_y) * (1 - GAMMA_REL_TOL)
     return SchurVerdict(True, (), exact, h_x, h_y, holds)
 
 
@@ -297,13 +302,14 @@ def amgm_sandwich_holds(entries: Sequence[int]) -> bool:
     return factorial_lower_bound(n) <= value <= amgm_upper_bound(n, s)
 
 
-def prop_gamma_vs_amgm_holds(n: int, s: int, rel_tol: float = 1e-9) -> bool:
+def prop_gamma_vs_amgm_holds(n: int, s: int) -> bool:
     """f(n/s)^s <= c^n ((n+s)/2n)^n for s <= 3n/4, within float tolerance.
 
-    Equality occurs exactly at n = (4/3) s, so the comparison allows rel_tol.
+    Equality occurs exactly at n = (4/3) s, so the comparison allows
+    GAMMA_REL_TOL.
     """
     if 4 * s > 3 * n:
         raise PreconditionError("bound requires s <= 3n/4")
     lhs = s * log_f(n / s)
     rhs = n * math.log(bound_constant_c()) + n * math.log((n + s) / (2.0 * n))
-    return lhs <= rhs + rel_tol * abs(rhs) + 1e-15
+    return lhs <= rhs + GAMMA_REL_TOL * abs(rhs) + 1e-15

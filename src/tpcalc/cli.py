@@ -198,8 +198,6 @@ def cmd_scan(args) -> int:
 
 def cmd_nt(args) -> int:
     if args.nt_command == "prodpi":
-        if args.max_sum < 2:
-            raise ParameterError(f"--max-sum must be at least 2, got {args.max_sum}")
         rpt = prodpi_collision_scan(args.max_sum)
         payload = {
             "max_sum": rpt.max_sum,

@@ -1250,11 +1250,7 @@ def _is_nilpotent(G: GroupTable, subs: Sequence[Subgroup]) -> bool:
     # nilpotent iff every Sylow subgroup is normal iff each is unique
     n = G.order
     for p in prime_factors(n):
-        part = 1
-        m = n
-        while m % p == 0:
-            part *= p
-            m //= p
+        part = p ** padic_valuation(n, p)
         if sum(1 for s in subs if s.order == part) != 1:
             return False
     return True

@@ -221,11 +221,14 @@ def verify_monotonicity(G: GroupTable, group_id: str = "") -> list[TheoremVerdic
 # Structure theorems
 # ---------------------------------------------------------------------------
 
-_BAD_SECTIONS = (("a4", "a4"), ("d3", "dihedral 3"), ("d5", "dihedral 5"), ("d7", "dihedral 7"))
-
-
-def _bad_section_catalog() -> list[tuple[str, GroupTable]]:
-    return [(name, presets.named(expr)) for name, expr in _BAD_SECTIONS]
+# theorem, tp bound, the StructureReport property, and the sections that
+# resolve a group above the bound without the property, in search order
+_SECTION_GATES = (
+    ("solubility-criterion", TP_2_POW_40, "soluble", (("a5", "a5"),)),
+    ("supersolubility", TP_2_POW_8, "supersoluble", (("a4", "a4"),)),
+    ("nilpotency", TP_4_OVER_81, "nilpotent",
+     (("a4", "a4"), ("d3", "dihedral 3"), ("d5", "dihedral 5"), ("d7", "dihedral 7"))),
+)
 
 
 def verify_structure_theorems(G: GroupTable, group_id: str = "") -> list[TheoremVerdict]:
@@ -235,46 +238,20 @@ def verify_structure_theorems(G: GroupTable, group_id: str = "") -> list[Theorem
     report = classify_structure(G)
     verdicts = []
 
-    hyp = tp_g > TP_2_POW_40
-    if hyp and not report.is_soluble:
-        found, _ = has_section(G, presets.named("a5"))
-        concl = found
-        detail = "a5-section" if found else "none"
-    else:
-        concl = True
-        detail = "soluble" if report.is_soluble else "vacuous"
-    verdicts.append(TheoremVerdict(
-        "solubility-criterion", group_id, hyp, concl,
-        details={"tp": str(tp_g), "resolution": detail}))
-
-    hyp = tp_g > TP_2_POW_8
-    if hyp and not report.is_supersoluble:
-        found, _ = has_section(G, presets.named("a4"))
-        concl = found
-        detail = "a4-section" if found else "none"
-    else:
-        concl = True
-        detail = "supersoluble" if report.is_supersoluble else "vacuous"
-    verdicts.append(TheoremVerdict(
-        "supersolubility", group_id, hyp, concl,
-        details={"tp": str(tp_g), "resolution": detail}))
-
-    hyp = tp_g > TP_4_OVER_81
-    if hyp and not report.is_nilpotent:
-        detail = "none"
-        concl = False
-        for name, X in _bad_section_catalog():
-            found, _ = has_section(G, X)
-            if found:
-                concl = True
-                detail = f"{name}-section"
-                break
-    else:
-        concl = True
-        detail = "nilpotent" if report.is_nilpotent else "vacuous"
-    verdicts.append(TheoremVerdict(
-        "nilpotency", group_id, hyp, concl,
-        details={"tp": str(tp_g), "resolution": detail}))
+    for theorem, bound, prop, sections in _SECTION_GATES:
+        hyp = tp_g > bound
+        has_prop = getattr(report, f"is_{prop}")
+        if hyp and not has_prop:
+            found = next((name for name, expr in sections
+                          if has_section(G, presets.named(expr))[0]), None)
+            concl = found is not None
+            detail = f"{found}-section" if concl else "none"
+        else:
+            concl = True
+            detail = prop if has_prop else "vacuous"
+        verdicts.append(TheoremVerdict(
+            theorem, group_id, hyp, concl,
+            details={"tp": str(tp_g), "resolution": detail}))
 
     hyp = tp_g > TP_4_OVER_81 and not report.is_abelian
     concl = report.derived_length == 2 if hyp else True
@@ -296,7 +273,12 @@ def verify_structure_theorems(G: GroupTable, group_id: str = "") -> list[Theorem
 def classify_special_values(G: GroupTable, group_id: str = "") -> list[TheoremVerdict]:
     """Exact-value gates: the 1/2 and 1/4 classifications, the excluded
     product-of-two-primes values, and the placement constraints on subgroups
-    whose P is a prime ratio or a product of two."""
+    whose P is a prime ratio or a product of two.
+
+    tp(G) is the minimum of P over the non-normal classes, so every such
+    class has P >= tp(G), and so has every f(p) or f(p)f(q) it can equal.
+    Each class's P is looked up among the f(p) >= tp(G) and among the
+    products that pq-exclusion lists; the first pair listed wins."""
     result = tp(G)
     tp_g = result.tp
     verdicts = []
@@ -321,20 +303,23 @@ def classify_special_values(G: GroupTable, group_id: str = "") -> list[TheoremVe
         details={"tp": str(tp_g), "family": family}))
 
     excluded = _excluded_prime_pair_values(tp_g)
-    concl = all(tp_g != v for _, v in excluded)
+    pair_of = {v: pq for pq, v in reversed(excluded)}
     verdicts.append(TheoremVerdict(
-        "pq-exclusion", group_id, True, concl,
+        "pq-exclusion", group_id, True, tp_g not in pair_of,
         details={"tp": str(tp_g), "pairs_checked": [p for p, _ in excluded]}))
 
-    place_hits = []
-    place_ok = True
-    pair_hits = []
-    pair_ok = True
+    prime_of = {}
+    p = 2
+    while factorial_ratio(p) >= tp_g:
+        prime_of[factorial_ratio(p)] = p
+        p = next_prime(p)
+
+    place_hits, pair_hits = [], []
     for rec in result.table:
         if rec.is_normal:
             continue
         sub = rec.subgroup
-        p_single = _as_single_prime_ratio(rec.p)
+        p_single = prime_of.get(rec.p)
         if p_single is not None:
             rel = subgroup_relations(G, sub)
             m = rel.normalizer.order // sub.order
@@ -343,20 +328,18 @@ def classify_special_values(G: GroupTable, group_id: str = "") -> list[TheoremVe
                   and ((m == 1 and n == p_single + 1)
                        or (m == p_single and n == 2 * p_single)))
             place_hits.append((sub.order, p_single, m, n, ok))
-            place_ok = place_ok and ok
-        pq = _as_prime_pair_ratio(rec.p)
+        pq = pair_of.get(rec.p)
         if pq is not None:
             p, q = pq
             want = (q, p) + (1,) * (sub.index - p - q)
             ok = rec.t_vector == want
             pair_hits.append((sub.order, p, q, ok))
-            pair_ok = pair_ok and ok
     verdicts.append(TheoremVerdict(
-        "prime-ratio-placement", group_id, bool(place_hits), place_ok,
-        details={"hits": place_hits}))
+        "prime-ratio-placement", group_id, bool(place_hits),
+        all(hit[-1] for hit in place_hits), details={"hits": place_hits}))
     verdicts.append(TheoremVerdict(
-        "prime-pair-tvector", group_id, bool(pair_hits), pair_ok,
-        details={"hits": pair_hits}))
+        "prime-pair-tvector", group_id, bool(pair_hits),
+        all(hit[-1] for hit in pair_hits), details={"hits": pair_hits}))
     return verdicts
 
 
@@ -399,22 +382,6 @@ def _excluded_prime_pair_values(tp_value: Fraction) -> list[tuple[tuple[int, int
             q = next_prime(q)
         p = next_prime(p)
     return out
-
-
-def _as_single_prime_ratio(value: Fraction) -> int | None:
-    p = 2
-    while factorial_ratio(p) >= value:
-        if factorial_ratio(p) == value:
-            return p
-        p = next_prime(p)
-    return None
-
-
-def _as_prime_pair_ratio(value: Fraction) -> tuple[int, int] | None:
-    for (p, q), v in _excluded_prime_pair_values(value):
-        if v == value:
-            return p, q
-    return None
 
 
 # ---------------------------------------------------------------------------

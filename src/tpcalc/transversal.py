@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .arith_nt import (
+    GAMMA_REL_TOL,
     amgm_upper_bound,
     factorial_ratio,
     is_prime,
@@ -36,7 +37,6 @@ from .group_core import GroupTable, Subgroup, cosets, is_normal_subgroup, subgro
 
 PERMANENT_SIZE_CAP = 24
 ENUMERATION_BUDGET = 10**6
-GAMMA_REL_TOL = 1e-9
 
 
 def p_from_tvector(t: Sequence[int]) -> Fraction:
@@ -124,7 +124,7 @@ def weight_matrix(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> Weig
                         matched=matched)
 
 
-def permanent_ryser(M, cap: int = PERMANENT_SIZE_CAP) -> int:
+def permanent_ryser(M) -> int:
     """Exact permanent of an integer matrix: its nonzero support split into
     connected blocks, then Ryser inclusion–exclusion on each block over
     Python ints.
@@ -139,8 +139,8 @@ def permanent_ryser(M, cap: int = PERMANENT_SIZE_CAP) -> int:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ParameterError("matrix must be square")
     n = A.shape[0]
-    if n > cap:
-        raise SizeLimitError(f"permanent size {n} exceeds cap {cap}")
+    if n > PERMANENT_SIZE_CAP:
+        raise SizeLimitError(f"permanent size {n} exceeds cap {PERMANENT_SIZE_CAP}")
     rows = A.tolist()
     if A.dtype.kind not in "biu":
         if not all(isinstance(x, numbers.Integral) for row in rows for x in row):
@@ -215,8 +215,7 @@ def _ryser(A: list[list[int]]) -> int:
     return total if n % 2 == 0 else -total
 
 
-def dt_enumerate(G: GroupTable, H: Subgroup, K: Subgroup | None = None,
-                 budget: int = ENUMERATION_BUDGET) -> int:
+def dt_enumerate(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> int:
     """Count two-sided transversals by depth-first choice of one element per
     left coset, pruning on the set of right cosets already hit. The count uses
     neither the coset graph nor the weight matrix, so it is an independent
@@ -226,8 +225,8 @@ def dt_enumerate(G: GroupTable, H: Subgroup, K: Subgroup | None = None,
     if H.index != K.index:
         raise PreconditionError("subgroups must have equal index")
     n = H.index
-    if H.order**n > budget:
-        raise BudgetError(f"|H|^n = {H.order**n} exceeds budget {budget}")
+    if H.order**n > ENUMERATION_BUDGET:
+        raise BudgetError(f"|H|^n = {H.order**n} exceeds budget {ENUMERATION_BUDGET}")
     right_id = cosets(G, K, "right").ids
     # the right cosets met by each left coset's elements, one list per level
     options = [right_id[G.mul[l, H.elem_array]].tolist()
@@ -413,7 +412,7 @@ def bounds_report(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> Boun
     pf = float(p_exact)
     holds_gamma = pf <= upper_gamma * (1 + GAMMA_REL_TOL) + 1e-300
     if 4 * s <= 3 * n:
-        holds_gamma_vs_ams = prop_gamma_vs_amgm_holds(n, s, GAMMA_REL_TOL)
+        holds_gamma_vs_ams = prop_gamma_vs_amgm_holds(n, s)
     else:
         holds_gamma_vs_ams = True  # comparison only claimed for s <= 3n/4
     all_hold = (holds_factorial_sandwich and holds_half_power and holds_gamma

@@ -130,7 +130,7 @@ class TestAcceptance:
             assert abs(nt.bound_constant_c() - 0.976986) < 1e-6
             for n in range(1, 61):
                 for s in range(1, (3 * n) // 4 + 1):
-                    assert nt.prop_gamma_vs_amgm_holds(n, s, rel_tol=1e-9), (n, s)
+                    assert nt.prop_gamma_vs_amgm_holds(n, s), (n, s)
 
     def test_4_classification_sweeps(self, catalog_groups, catalog_tp, tmp_path):
         with criterion(4, "value classification sweeps"):

@@ -111,6 +111,12 @@ class TestCollisionScan:
         with pytest.raises(BudgetError):
             nt.prodpi_collision_scan(41)
 
+    @pytest.mark.parametrize("max_sum", [1, -3])
+    def test_refuses_a_scan_that_checks_nothing(self, max_sum):
+        # below 2 there is no multiset to check, so "holds" would be vacuous
+        with pytest.raises(ParameterError, match="max_sum must be at least 2"):
+            nt.prodpi_collision_scan(max_sum)
+
 
 def _all_multisets(max_sum):
     for total in range(2, max_sum + 1):

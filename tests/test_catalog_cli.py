@@ -703,7 +703,7 @@ class TestCli:
         assert cli.main(["nt", "prodpi", "--max-sum", max_sum]) == cli.EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "usage error: --max-sum" in captured.err
+        assert "usage error: max_sum must be at least 2" in captured.err
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
     @pytest.mark.parametrize("args", [["group", "show", "cyclic 3"], ["tp", "cyclic 3"],

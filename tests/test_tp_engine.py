@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from tpcalc import group_core as gc
 from tpcalc import presets
 from tpcalc import tp_engine as te
-from tpcalc.arith_nt import factorial_ratio, prime_factors
+from tpcalc.arith_nt import factorial_ratio, next_prime, prime_factors
 from tpcalc.errors import Limits, SizeLimitError, VerificationError, using
 from tpcalc.transversal import p_g
 
@@ -244,6 +245,172 @@ class TestAbelianShortcut:
         te.verify_monotonicity(G)
         assert built and not any(X.is_abelian for X in built)
         assert len(built) == sum(not X.is_abelian for X in every) < len(every)
+
+
+def full_structure_theorems(G, group_id=""):
+    """Test oracle: the five structure gates written out one by one, each
+    section gate with its own search."""
+    tp_g = te.tp(G).tp
+    report = gc.classify_structure(G)
+    verdicts = []
+
+    hyp = tp_g > te.TP_2_POW_40
+    if hyp and not report.is_soluble:
+        concl = gc.has_section(G, presets.named("a5"))[0]
+        detail = "a5-section" if concl else "none"
+    else:
+        concl = True
+        detail = "soluble" if report.is_soluble else "vacuous"
+    verdicts.append(te.TheoremVerdict(
+        "solubility-criterion", group_id, hyp, concl,
+        details={"tp": str(tp_g), "resolution": detail}))
+
+    hyp = tp_g > te.TP_2_POW_8
+    if hyp and not report.is_supersoluble:
+        concl = gc.has_section(G, presets.named("a4"))[0]
+        detail = "a4-section" if concl else "none"
+    else:
+        concl = True
+        detail = "supersoluble" if report.is_supersoluble else "vacuous"
+    verdicts.append(te.TheoremVerdict(
+        "supersolubility", group_id, hyp, concl,
+        details={"tp": str(tp_g), "resolution": detail}))
+
+    hyp = tp_g > te.TP_4_OVER_81
+    if hyp and not report.is_nilpotent:
+        detail = "none"
+        concl = False
+        for name, expr in (("a4", "a4"), ("d3", "dihedral 3"), ("d5", "dihedral 5"),
+                           ("d7", "dihedral 7")):
+            if gc.has_section(G, presets.named(expr))[0]:
+                concl = True
+                detail = f"{name}-section"
+                break
+    else:
+        concl = True
+        detail = "nilpotent" if report.is_nilpotent else "vacuous"
+    verdicts.append(te.TheoremVerdict(
+        "nilpotency", group_id, hyp, concl,
+        details={"tp": str(tp_g), "resolution": detail}))
+
+    hyp = tp_g > te.TP_4_OVER_81 and not report.is_abelian
+    concl = report.derived_length == 2 if hyp else True
+    verdicts.append(te.TheoremVerdict(
+        "derived-length", group_id, hyp, concl,
+        details={"tp": str(tp_g), "derived_length": report.derived_length}))
+
+    hyp = G.order % 2 == 1 and not report.is_abelian
+    concl = tp_g <= te.TP_4_OVER_81 if hyp else True
+    verdicts.append(te.TheoremVerdict(
+        "non-abelian-odd", group_id, hyp, concl, details={"tp": str(tp_g)}))
+    return verdicts
+
+
+def single_prime_ratio(value):
+    """Test oracle: the prime p with f(p) = value, walking the primes."""
+    p = 2
+    while factorial_ratio(p) >= value:
+        if factorial_ratio(p) == value:
+            return p
+        p = next_prime(p)
+    return None
+
+
+def prime_pair_ratio(value):
+    """Test oracle: the first primes p < q with f(p) f(q) = value, from the
+    products listed down to this value itself."""
+    for (p, q), v in te._excluded_prime_pair_values(value):
+        if v == value:
+            return p, q
+    return None
+
+
+def full_prime_ratio_verdicts(G, group_id=""):
+    """Test oracle: the pq-exclusion, placement and t-vector verdicts of
+    `classify_special_values`, deciding each P on its own."""
+    result = te.tp(G)
+    tp_g = result.tp
+    verdicts = [te.TheoremVerdict(
+        "pq-exclusion", group_id, True, prime_pair_ratio(tp_g) is None,
+        details={"tp": str(tp_g),
+                 "pairs_checked": [p for p, _ in te._excluded_prime_pair_values(tp_g)]})]
+    place_hits, pair_hits = [], []
+    for rec in result.table:
+        if rec.is_normal:
+            continue
+        sub = rec.subgroup
+        p = single_prime_ratio(rec.p)
+        if p is not None:
+            m = gc.subgroup_relations(G, sub).normalizer.order // sub.order
+            n = sub.index
+            ok = (sub.order % p == 0
+                  and ((m == 1 and n == p + 1) or (m == p and n == 2 * p)))
+            place_hits.append((sub.order, p, m, n, ok))
+        pq = prime_pair_ratio(rec.p)
+        if pq is not None:
+            p, q = pq
+            ok = rec.t_vector == (q, p) + (1,) * (sub.index - p - q)
+            pair_hits.append((sub.order, p, q, ok))
+    verdicts.append(te.TheoremVerdict(
+        "prime-ratio-placement", group_id, bool(place_hits),
+        all(hit[-1] for hit in place_hits), details={"hits": place_hits}))
+    verdicts.append(te.TheoremVerdict(
+        "prime-pair-tvector", group_id, bool(pair_hits),
+        all(hit[-1] for hit in pair_hits), details={"hits": pair_hits}))
+    return verdicts
+
+
+class TestCheckFamilyOracles:
+    """The section gates run from one table, and the prime-ratio checks look
+    each class's P up in maps built once per group; both must give the
+    verdicts of the gates written out and of the per-value enumeration."""
+
+    @staticmethod
+    def _assert_both_match(G, name=""):
+        structure = te.verify_structure_theorems(G, name)
+        classes = te.classify_special_values(G, name)
+        assert _verdict_fields(structure) \
+            == _verdict_fields(full_structure_theorems(G, name)), name
+        assert _verdict_fields(classes[2:]) \
+            == _verdict_fields(full_prime_ratio_verdicts(G, name)), name
+        return structure + classes
+
+    def test_match_on_the_catalog(self, catalog_groups):
+        resolutions, hit_theorems = set(), set()
+        for name, G in catalog_groups.items():
+            for v in self._assert_both_match(G, name):
+                resolutions.add(v.details.get("resolution"))
+                if v.details.get("hits"):
+                    hit_theorems.add(v.theorem)
+        # the catalog reaches every kind of gate outcome and both lookups
+        assert {"soluble", "supersoluble", "nilpotent", "vacuous", "a4-section"} <= resolutions
+        assert hit_theorems == {"prime-ratio-placement", "prime-pair-tvector"}
+
+    @pytest.mark.parametrize("gens", [S6_GENERATORS, A6_GENERATORS], ids=["s6", "a6"])
+    def test_match_past_the_default_limits(self, gens):
+        with using(Limits(order=720, table=720)):
+            self._assert_both_match(gc.from_permutation_generators(6, gens))
+
+    def test_match_with_the_minimum_on_each_class(self, catalog_groups, monkeypatch):
+        # the maps must reach down to tp(G) itself: with tp(G) moved onto each
+        # class's P in turn and the classes below it dropped, every class
+        # that matches an f(p) or f(p) f(q) at or above that minimum is found
+        real_tp = te.tp
+        for name, G in catalog_groups.items():
+            result = real_tp(G)
+            for v in sorted({rec.p for rec in result.table if not rec.is_normal}):
+                moved = dataclasses.replace(result, tp=v, table=tuple(
+                    rec for rec in result.table if rec.is_normal or rec.p >= v))
+                monkeypatch.setattr(te, "tp", lambda G, group_id="": moved)
+                assert _verdict_fields(te.classify_special_values(G, name)[2:]) \
+                    == _verdict_fields(full_prime_ratio_verdicts(G, name)), (name, v)
+
+    def test_every_non_normal_class_is_at_least_tp(self, catalog_groups):
+        # the invariant the lookup rests on: no class can equal an f(p) or
+        # f(p) f(q) below tp(G), so none is left out of the maps
+        for name, G in catalog_groups.items():
+            result = te.tp(G)
+            assert all(rec.p >= result.tp for rec in result.table if not rec.is_normal), name
 
 
 class TestMonotonicity:
