@@ -57,9 +57,9 @@ from .transversal import (
     WeightMatrix,
     bounds_report,
     dt_enumerate,
+    orbit_t_vector,
     p_from_tvector,
     p_g,
-    p_prime_subgroup,
     permanent_ryser,
     stochastic_form_checks,
     weight_matrix,

@@ -123,10 +123,12 @@ class SBoundsReport:
     holds: bool
 
 
-def s_bounds_check(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> SBoundsReport:
+def s_bounds_check(G: GroupTable, H: Subgroup, K: Subgroup | None = None,
+                   graph: CosetGraph | None = None) -> SBoundsReport:
     """Bracket the component count: (n-m)/|H| + m <= s <= (n-m)/p + m with p
     the smallest prime divisor of |H|. For |H| = 1 both sides collapse to n."""
-    graph = build_coset_graph(G, H, K)
+    if graph is None:
+        graph = build_coset_graph(G, H, K)
     n, s, m = graph.n, graph.s, graph.m
     if graph.H.order == 1:
         lower = upper = Fraction(n)

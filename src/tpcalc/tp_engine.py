@@ -3,9 +3,11 @@ plus machine checks of the structural theorems and value classifications.
 
 The minimum is taken over conjugacy-class representatives of the full subgroup
 lattice (inner automorphisms preserve P). A class of one subgroup is a normal
-subgroup, which gets P = 1 without a coset graph; when every class is
-normal (G Dedekind) the minimum is 1. The scan order is deterministic, so
-results are reproducible bit for bit.
+subgroup, which gets P = 1; when every class is normal (G Dedekind) the
+minimum is 1. Every other class takes its t-vector from the orbits of H on
+G/H (`orbit_t_vector`). `verify_graph_invariants` checks each record against
+the class's coset graph. The scan order is deterministic, so results are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .group_core import (
     trivial_subgroup,
 )
 from . import presets
-from .transversal import p_g
+from .transversal import orbit_t_vector, p_from_tvector
 
 TP_2_POW_40 = Fraction(1, 2**40)
 TP_2_POW_8 = Fraction(1, 2**8)
@@ -56,6 +58,10 @@ class SubgroupClassRecord:
     t_vector: tuple[int, ...]
     class_size: int
     is_normal: bool
+    # the cosets, the components (orbits) and the trivial ones
+    n = property(lambda self: self.subgroup.index)
+    s = property(lambda self: len(self.t_vector))
+    m = property(lambda self: self.t_vector.count(1))
 
 
 @dataclass(frozen=True)
@@ -97,8 +103,6 @@ def tp(G: GroupTable, group_id: str = "") -> TpResult:
 def _compute_tp(G: GroupTable) -> TpResult:
     lat = lattice(G)
     records = []
-    best: Fraction | None = None
-    attaining: list[Subgroup] = []
     for cls in lat.classes:
         rep = cls[0]
         normal = len(cls) == 1
@@ -106,19 +110,19 @@ def _compute_tp(G: GroupTable) -> TpResult:
             value = Fraction(1)
             tvec = (1,) * rep.index
         else:
-            graph = build_coset_graph(G, rep)
-            value = p_g(G, rep, graph=graph)
-            tvec = graph.t_vector
-            if best is None or value < best:
-                best = value
-                attaining = [rep]
-            elif value == best:
-                attaining.append(rep)
+            tvec = orbit_t_vector(G, rep)
+            # the fixed cosets are N_G(H)/H, |N_G(H)| = |G|/|class|: so m < n, P < 1
+            if tvec.count(1) * len(cls) != rep.index:
+                raise VerificationError(f"H = <{','.join(map(str, rep.generators()))}>: "
+                                        f"{tvec.count(1)} fixed cosets, n/|class| = "
+                                        f"{rep.index}/{len(cls)}")
+            value = p_from_tvector(tvec)
         records.append(SubgroupClassRecord(
             subgroup=rep, p=value, t_vector=tvec, class_size=len(cls), is_normal=normal))
-    if best is None:  # Dedekind: every subgroup normal, the minimum is 1
-        best = Fraction(1)
-        attaining = [trivial_subgroup(G)]
+    # Dedekind (every subgroup normal): the minimum is 1, at the trivial subgroup
+    best = min((r.p for r in records if not r.is_normal), default=Fraction(1))
+    attaining = ([r.subgroup for r in records if not r.is_normal and r.p == best]
+                 or [trivial_subgroup(G)])
     witnesses = tuple(s.generators() for s in
                       sorted(attaining, key=lambda s: (s.order, s.elems)))
     return TpResult(group_id="", tp=best, witnesses=witnesses,
@@ -321,9 +325,7 @@ def classify_special_values(G: GroupTable, group_id: str = "") -> list[TheoremVe
         sub = rec.subgroup
         p_single = prime_of.get(rec.p)
         if p_single is not None:
-            rel = subgroup_relations(G, sub)
-            m = rel.normalizer.order // sub.order
-            n = sub.index
+            m, n = rec.m, rec.n  # m = |N(H) : H|, which tp asserts
             ok = (sub.order % p_single == 0
                   and ((m == 1 and n == p_single + 1)
                        or (m == p_single and n == 2 * p_single)))
@@ -331,7 +333,7 @@ def classify_special_values(G: GroupTable, group_id: str = "") -> list[TheoremVe
         pq = pair_of.get(rec.p)
         if pq is not None:
             p, q = pq
-            want = (q, p) + (1,) * (sub.index - p - q)
+            want = (q, p) + (1,) * (rec.n - p - q)
             ok = rec.t_vector == want
             pair_hits.append((sub.order, p, q, ok))
     verdicts.append(TheoremVerdict(
@@ -409,16 +411,13 @@ def semidirect_extension_check(G: GroupTable, K: GroupTable,
     have the split extension's table, and its tp is the one taken."""
     ghat = _as_product(semidirect_product(G, K, action), product, group_id)
     acts = [np.asarray(a, dtype=np.int64) for a in action]
-    bound = None
-    for H in all_subgroups(G):
-        prod = Fraction(1)
-        for k in range(K.order):
-            image = Subgroup(G, tuple(sorted(int(acts[k][e]) for e in H.elems)))
-            prod *= p_g(G, H, image)
-        if bound is None or prod < bound:
-            bound = prod
+    # P multiplies f(t) over a t-vector, so the product over k of
+    # P(G; H, H^k) is the P of their t-vectors joined
+    bound = min(
+        p_from_tvector([t for a in acts for t in orbit_t_vector(
+            G, H, Subgroup(G, tuple(sorted(a[H.elem_array].tolist()))))])
+        for H in all_subgroups(G))
     tp_hat = tp(ghat).tp
-    assert bound is not None
     return TheoremVerdict(
         "semidirect-extension-bound", group_id, True, tp_hat <= bound,
         details={"tp": str(tp_hat), "bound": str(bound), "equality": tp_hat == bound})
@@ -444,17 +443,21 @@ def direct_extension_check(factors: Sequence[GroupTable], group_id: str = "",
 
 def verify_graph_invariants(G: GroupTable, group_id: str = "") -> TheoremVerdict:
     """Build the coset graph for one representative per subgroup class (all the
-    component invariants are asserted inside the builder) and check the
+    component invariants are asserted inside the builder), require its
+    t-vector to be the one tp recorded from the orbit route, and check the
     component-count bracket on each."""
-    ok = True
     details = []
-    for cls in lattice(G).classes:
-        rep = cls[0]
-        sb = s_bounds_check(G, rep)
+    for rec in tp(G).table:
+        rep = rec.subgroup
+        graph = build_coset_graph(G, rep)
+        if graph.t_vector != rec.t_vector:
+            raise VerificationError(
+                f"{group_id}: H = <{','.join(map(str, rep.generators()))}>: coset-graph "
+                f"t-vector {graph.t_vector} != orbit t-vector {rec.t_vector}")
+        sb = s_bounds_check(G, rep, graph=graph)
         details.append((rep.order, sb.s, str(sb.lower), str(sb.upper), sb.holds))
-        ok = ok and sb.holds
-    return TheoremVerdict("graph-invariants", group_id, True, ok,
-                          details={"per_class": details})
+    return TheoremVerdict("graph-invariants", group_id, True,
+                          all(row[-1] for row in details), details={"per_class": details})
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exact probabilities that a left transversal of H is a right transversal of K,
-with three independent computation routes (component sizes, the permanent of
-the weight matrix by Ryser on each block of its support, brute-force
+with four independent computation routes (the coset graph's component sizes,
+the lengths of the orbits of K on the left cosets of H, the permanent of the
+weight matrix by Ryser on each block of its support, brute-force
 enumeration) and the bound suite.
 
 All probabilities are exact `Fraction`s; the only floats are in the
@@ -20,7 +21,6 @@ from .arith_nt import (
     GAMMA_REL_TOL,
     amgm_upper_bound,
     factorial_ratio,
-    is_prime,
     jensen_power_bound,
     product_of_ratios,
     prop_gamma_vs_amgm_holds,
@@ -33,7 +33,7 @@ from .errors import (
     SizeLimitError,
     VerificationError,
 )
-from .group_core import GroupTable, Subgroup, cosets, is_normal_subgroup, subgroup_relations
+from .group_core import GroupTable, Subgroup, cosets, is_normal_subgroup
 
 PERMANENT_SIZE_CAP = 24
 ENUMERATION_BUDGET = 10**6
@@ -64,19 +64,27 @@ def p_g(G: GroupTable, H: Subgroup, K: Subgroup | None = None,
     return value
 
 
-def p_prime_subgroup(G: GroupTable, H: Subgroup) -> Fraction:
-    """Closed form (p!/p^p)^((n-m)/p) for |H| = p prime, where m = |N(H) : H|.
-    It is computed from the normalizer alone, so it is an independent route to
-    P(G; H, H)."""
-    p = H.order
-    if not is_prime(p):
-        raise ParameterError("subgroup order must be prime")
-    rel = subgroup_relations(G, H)
-    n = H.index
-    m = rel.normalizer.order // H.order
-    if (n - m) % p != 0:
-        raise VerificationError("(n - m)/p must be an integer")
-    return factorial_ratio(p) ** ((n - m) // p)
+def orbit_t_vector(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> tuple[int, ...]:
+    """The t-vector as the lengths of the orbits of K on the left cosets of H,
+    sorted decreasingly. The orbit of xH under K holds |K : K meet xHx^-1|
+    cosets, the size of the coset-graph component of the double coset KxH
+    (orbit-stabiliser and Mackey's decomposition). It shares only `cosets`
+    with the graph route: no double cosets, no weight matrix, no conjugators."""
+    if K is None:
+        K = H
+    if H.index != K.index:
+        raise PreconditionError(
+            f"subgroups must have equal index, got {H.index} and {K.index}")
+    left = cosets(G, H, "left")
+    # column i holds the cosets k l_i H, the orbit of coset i
+    orbit = left.ids[G.mul[K.elem_array[:, None], np.asarray(left.reps)[None, :]]]
+    label = orbit.min(axis=0)
+    if not (label[orbit] == label).all():
+        raise VerificationError("the orbits of K do not partition the cosets of H")
+    lengths = np.unique(label, return_counts=True)[1]
+    if (K.order % lengths).any():
+        raise VerificationError("an orbit length does not divide |K|")
+    return tuple(sorted(lengths.tolist(), reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -381,57 +389,48 @@ class BoundsReport:
 
 
 def bounds_report(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> BoundsReport:
-    """Evaluate every applicable bound on P and record whether it brackets the
-    exact value. Clauses that require conjugate non-normal subgroups are
-    reported as None when they do not apply."""
+    """The bounds on P(G; H, K), from the pair's coset graph."""
     graph = build_coset_graph(G, H, K)
-    K = graph.K
-    p_exact = p_g(G, H, K, graph=graph)
-    n, s, m = graph.n, graph.s, graph.m
+    normal_pair = H.elems == graph.K.elems and is_normal_subgroup(G, H)
+    return bounds_of(graph.n, graph.s, graph.m, p_g(G, H, graph.K, graph=graph),
+                     normal_pair=normal_pair)
 
-    lower_asymp1 = factorial_ratio(n)
+
+def bounds_of(n: int, s: int, m: int, p_exact: Fraction, *,
+              normal_pair: bool) -> BoundsReport:
+    """Evaluate every applicable bound on an exact P with n cosets, s
+    components and m trivial ones, and record whether it brackets P. Clauses
+    that require conjugate non-normal subgroups are reported as None when
+    they do not apply."""
     upper_ams = amgm_upper_bound(n, s)
     lower_factorial = factorial_ratio(n - m) if n > m else Fraction(1)
     upper_half_power = Fraction(1, 2) ** (s - m)
-    holds_factorial_sandwich = (lower_asymp1 <= lower_factorial <= p_exact
+    holds_factorial_sandwich = (factorial_ratio(n) <= lower_factorial <= p_exact
                                 and p_exact <= upper_ams)
     holds_half_power = p_exact <= upper_half_power
 
-    conj = m > 0  # trivial components exist iff the pair is conjugate
-    normal_pair = H.elems == K.elems and is_normal_subgroup(G, H)
-    conjugate_non_normal = conj and not normal_pair
-    holds_sharp_window = None
-    upper_seven = None
-    holds_seven = None
+    # trivial components exist iff the pair is conjugate
+    conjugate_non_normal = m > 0 and not normal_pair
+    holds_sharp_window = upper_seven = holds_seven = None
     if conjugate_non_normal:
         holds_sharp_window = (factorial_ratio(n - 1) <= p_exact <= Fraction(1, 2))
         upper_seven = Fraction(7, 8) ** n
         holds_seven = p_exact <= upper_seven
 
     upper_gamma = jensen_power_bound(n, s)
-    pf = float(p_exact)
-    holds_gamma = pf <= upper_gamma * (1 + GAMMA_REL_TOL) + 1e-300
-    if 4 * s <= 3 * n:
-        holds_gamma_vs_ams = prop_gamma_vs_amgm_holds(n, s)
-    else:
-        holds_gamma_vs_ams = True  # comparison only claimed for s <= 3n/4
+    holds_gamma = float(p_exact) <= upper_gamma * (1 + GAMMA_REL_TOL) + 1e-300
+    # the comparison is only claimed for s <= 3n/4
+    holds_gamma_vs_ams = 4 * s > 3 * n or prop_gamma_vs_amgm_holds(n, s)
     all_hold = (holds_factorial_sandwich and holds_half_power and holds_gamma
                 and holds_gamma_vs_ams
                 and (holds_sharp_window is not False)
                 and (holds_seven is not False))
     return BoundsReport(
-        n=n, s=s, m=m, p_exact=p_exact,
-        lower_factorial=lower_factorial,
-        upper_half_power=upper_half_power,
-        upper_ams=upper_ams,
-        upper_seven_eighths=upper_seven,
-        upper_gamma=upper_gamma,
+        n=n, s=s, m=m, p_exact=p_exact, lower_factorial=lower_factorial,
+        upper_half_power=upper_half_power, upper_ams=upper_ams,
+        upper_seven_eighths=upper_seven, upper_gamma=upper_gamma,
         conjugate_non_normal=conjugate_non_normal,
         holds_factorial_sandwich=holds_factorial_sandwich,
-        holds_half_power=holds_half_power,
-        holds_sharp_window=holds_sharp_window,
-        holds_seven_eighths=holds_seven,
-        holds_gamma=holds_gamma,
-        holds_gamma_vs_ams=holds_gamma_vs_ams,
-        all_hold=all_hold,
-    )
+        holds_half_power=holds_half_power, holds_sharp_window=holds_sharp_window,
+        holds_seven_eighths=holds_seven, holds_gamma=holds_gamma,
+        holds_gamma_vs_ams=holds_gamma_vs_ams, all_hold=all_hold)

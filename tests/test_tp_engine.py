@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from tpcalc import coset_graph as cg
 from tpcalc import group_core as gc
 from tpcalc import presets
 from tpcalc import tp_engine as te
+from tpcalc import transversal as tv
 from tpcalc.arith_nt import factorial_ratio, next_prime, prime_factors
 from tpcalc.errors import Limits, SizeLimitError, VerificationError, using
 from tpcalc.transversal import p_g
@@ -413,6 +415,61 @@ class TestCheckFamilyOracles:
             assert all(rec.p >= result.tp for rec in result.table if not rec.is_normal), name
 
 
+class TestOrbitRoute:
+    """tp takes each class's t-vector from the orbits of H on G/H;
+    graph-invariants builds each class's coset graph once and must find the
+    same vector, and bounds-suite reads tp's records."""
+
+    @staticmethod
+    def _assert_routes_agree(G):
+        for rec in te.tp(G).table:
+            graph = cg.build_coset_graph(G, rec.subgroup)
+            assert graph.t_vector == tv.orbit_t_vector(G, rec.subgroup) == rec.t_vector
+            assert (rec.n, rec.s, rec.m) == (graph.n, graph.s, graph.m)
+            assert rec.p == p_g(G, rec.subgroup, graph=graph)
+        assert te.verify_graph_invariants(G).conclusion_holds
+
+    def test_routes_agree_on_the_catalog(self, catalog_groups):
+        for G in catalog_groups.values():
+            self._assert_routes_agree(G)
+
+    @pytest.mark.parametrize("gens", [S6_GENERATORS, A6_GENERATORS], ids=["s6", "a6"])
+    def test_routes_agree_on_every_class_past_the_default_limits(self, gens):
+        with using(Limits(order=720, table=720)):
+            self._assert_routes_agree(gc.from_permutation_generators(6, gens))
+
+    def test_bounds_from_the_records_are_the_graphs_bounds(self, catalog_groups):
+        checked = 0
+        for G in catalog_groups.values():
+            for rec in te.tp(G).table:
+                if not rec.is_normal:
+                    got = tv.bounds_of(rec.n, rec.s, rec.m, rec.p, normal_pair=False)
+                    assert got == tv.bounds_report(G, rec.subgroup)
+                    checked += 1
+        assert checked >= 100
+
+    def test_a_disagreement_names_the_group_h_and_both_vectors(self, monkeypatch):
+        G = gc.dihedral(3)
+        rec = next(r for r in te.tp(G).table if not r.is_normal)
+        graph = cg.build_coset_graph(G, rec.subgroup)
+        planted = dataclasses.replace(graph, components=graph.components[:-1])
+        build = cg.build_coset_graph
+        monkeypatch.setattr(te, "build_coset_graph", lambda G, H, K=None:
+                            planted if H == rec.subgroup else build(G, H, K))
+        with pytest.raises(VerificationError) as err:
+            te.verify_graph_invariants(G, "s3-planted")
+        message = str(err.value)
+        gens = ",".join(map(str, rec.subgroup.generators()))
+        assert "s3-planted" in message and f"H = <{gens}>" in message
+        assert str(rec.t_vector) in message and str(planted.t_vector) in message
+
+    def test_tp_asserts_orbit_stabiliser(self, monkeypatch):
+        # every orbit of length 1 would make the reflection class normal
+        monkeypatch.setattr(te, "orbit_t_vector", lambda G, H, K=None: (1,) * H.index)
+        with pytest.raises(VerificationError, match="fixed cosets"):
+            te.tp(gc.dihedral(3))
+
+
 class TestMonotonicity:
     def test_s4_vs_a4(self, zoo):
         tps4 = te.tp(zoo["s4"]).tp
@@ -593,11 +650,8 @@ class TestSpecialValues:
         assert any(hit[1] == 2 and hit[3] == 3 for hit in v.details["hits"])
 
     def test_prime_pair_tvector(self, zoo):
-        # SL2(3) attains P = f(2) f(3) = 1/9? its tp is (2/9)^2; look in S4
-        # instead: the S3 subgroup of S4 has P = 2/9 = f(3), and the C2
-        # subgroups have powers of 1/2. A genuine f(p) f(q) hit needs pq | |H|;
-        # use the c3_c4 group's order-6 subgroup? Scan the corpus for hits and
-        # confirm the verdicts stay consistent either way.
+        # c3sq_c4 has a class with P = 1/9 = f(2) f(3), the corpus's one hit;
+        # D3 x D3 (order 36, not in the corpus) also has such a class
         hits = 0
         for name, G in zoo.items():
             if G.order > 48:

@@ -12,12 +12,13 @@ from tpcalc import coset_graph as cg
 from tpcalc import group_core as gc
 from tpcalc import presets
 from tpcalc import transversal as tv
-from tpcalc.arith_nt import is_prime
+from tpcalc.arith_nt import factorial_ratio, is_prime
 from tpcalc.errors import (
     BudgetError,
     ParameterError,
     PreconditionError,
     SizeLimitError,
+    VerificationError,
 )
 
 
@@ -120,23 +121,32 @@ class TestPG:
                         assert (value == 1) == expect_one
 
 
+def orbit_p(G, H, K=None) -> Fraction:
+    return tv.p_from_tvector(tv.orbit_t_vector(G, H, K))
+
+
+def prime_closed_form(G, H) -> Fraction:
+    """(p!/p^p)^((n-m)/p) for |H| = p prime, with m = |N(H) : H| from the
+    normalizer: every orbit of H on G/H has length 1 or p."""
+    p, n = H.order, H.index
+    m = gc.subgroup_relations(G, H).normalizer.order // p
+    assert (n - m) % p == 0
+    return factorial_ratio(p) ** ((n - m) // p)
+
+
 class TestPPrime:
     def test_d5_reflection(self, zoo):
         H = subgroup_of_order(zoo["d5"], 2)
-        assert tv.p_prime_subgroup(zoo["d5"], H) == Fraction(1, 4)
+        assert orbit_p(zoo["d5"], H) == prime_closed_form(zoo["d5"], H) == Fraction(1, 4)
 
     def test_central_involution(self, zoo):
         q8 = zoo["q8"]
         H = subgroup_of_order(q8, 2)  # the unique involution, central
-        assert tv.p_prime_subgroup(q8, H) == 1
+        assert orbit_p(q8, H) == prime_closed_form(q8, H) == 1
 
     def test_a4_c3(self, zoo):
         H = subgroup_of_order(zoo["a4"], 3)
-        assert tv.p_prime_subgroup(zoo["a4"], H) == Fraction(2, 9)
-
-    def test_composite_rejected(self, zoo):
-        with pytest.raises(ParameterError):
-            tv.p_prime_subgroup(zoo["d4"], subgroup_of_order(zoo["d4"], 4))
+        assert orbit_p(zoo["a4"], H) == prime_closed_form(zoo["a4"], H) == Fraction(2, 9)
 
     def test_closed_form_matches_graph_on_catalog(self, catalog_groups):
         checked = 0
@@ -145,7 +155,8 @@ class TestPPrime:
                 continue
             for H in gc.all_subgroups(G):
                 if is_prime(H.order):
-                    assert tv.p_prime_subgroup(G, H) == tv.p_g(G, H), (name, H.elems)
+                    want = prime_closed_form(G, H)
+                    assert orbit_p(G, H) == want == tv.p_g(G, H), (name, H.elems)
                     checked += 1
         assert checked > 100
 
@@ -388,8 +399,40 @@ class TestIndependentRoutes:
             scale = H.order ** H.index
             assert tv.dt_enumerate(G, H) == want * scale
             assert tv.permanent_ryser(tv.weight_matrix(G, H).entries) == want * scale
+            assert orbit_p(G, H) == want
             if is_prime(H.order):
-                assert tv.p_prime_subgroup(G, H) == want
+                assert prime_closed_form(G, H) == want
+
+
+class TestOrbitRoute:
+    @settings(deadline=None, max_examples=80, derandomize=True)
+    @given(data=st.data())
+    def test_agrees_with_the_graph_and_the_permanent(self, catalog_groups, data):
+        names = sorted(name for name, G in catalog_groups.items() if G.order <= 24)
+        G = catalog_groups[data.draw(st.sampled_from(names))]
+        subs = gc.all_subgroups(G)
+        order = data.draw(st.sampled_from(sorted({s.order for s in subs})))
+        bucket = [s for s in subs if s.order == order]
+        H, K = data.draw(st.sampled_from(bucket)), data.draw(st.sampled_from(bucket))
+        t = tv.orbit_t_vector(G, H, K)
+        assert t == cg.build_coset_graph(G, H, K).t_vector
+        per = tv.permanent_ryser(tv.weight_matrix(G, H, K).entries)
+        assert tv.p_from_tvector(t) == Fraction(per, H.order ** H.index)
+
+    def test_a_set_that_is_not_a_group_is_refused(self, zoo):
+        G = zoo["s3"]
+        r = next(g for g in range(G.order) if G.element_orders[g] == 3)
+        mask = np.zeros(G.order, dtype=bool)
+        mask[[0, r]] = True
+        # r permutes the three cosets of a reflection group in a 3-cycle, so the
+        # sets {i, r i} that {1, r} gives overlap without being equal
+        with pytest.raises(VerificationError, match="partition"):
+            tv.orbit_t_vector(G, subgroup_of_order(G, 2), gc.Subgroup._of_mask(G, mask))
+
+    def test_unequal_index_is_refused(self, zoo):
+        G = zoo["s3"]
+        with pytest.raises(PreconditionError):
+            tv.orbit_t_vector(G, subgroup_of_order(G, 2), subgroup_of_order(G, 3))
 
 
 class TestTripleAgreement:
