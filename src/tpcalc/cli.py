@@ -113,7 +113,7 @@ def cmd_pg(args) -> int:
     print(f"P = {value.numerator}/{value.denominator}")
     print(f"t-vector {graph.t_vector}  s {graph.s}  m {graph.m}")
     if args.bounds:
-        rpt = bounds_report(G, H, K)
+        rpt = bounds_report(G, H, K, graph=graph)
         payload = {
             "n": rpt.n, "s": rpt.s, "m": rpt.m,
             "p": rational_json(rpt.p_exact),

@@ -12,11 +12,12 @@ writes) is cached on first use and only ever replaced by an identical value.
 into conjugacy classes and decides which are normal; every consumer reads
 that value. A fresh table gets all three from one pass of `all_subgroups`,
 which registers each new subgroup's whole conjugacy class when it first finds
-it and extends only that first member. A table built from another one by
-`subgroup_as_group` or `quotient_group` records its source, and once the
-source's lattice is built it takes its subgroups from there by the
-correspondence theorem instead of enumerating them again; it splits them with
-the same orbit walk on subgroup masks.
+it and extends only that first member: a normal one by its cosets, in stacks
+of one order, and any other by a batched breadth-first search. A table built
+from another one by `subgroup_as_group` or `quotient_group` records its
+source, and once the source's lattice is built it takes its subgroups from
+there by the correspondence theorem instead of enumerating them again; it
+splits them with the same orbit walk on subgroup masks.
 
 Only tables given from outside are validated. A subgroup or quotient table is
 carried from a validated parent by a checked map (the closure of H, the
@@ -749,13 +750,21 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
     extended: its extensions are the cyclic seeds, and an element is skipped
     as a seed once it is known to generate a registered cyclic subgroup.
 
-    The extensions of several work-list subgroups grow in one batched search
-    of at most about GROW_CELLS mask cells: row i of a `(rows, n)` mask
-    starts from H's elements with frontier H*r and generators gens(H) + (r,),
-    and ends as the mask of <H, r>. A row with a shorter frontier repeats one
-    of its own frontier elements, and one with fewer generators is padded
-    with the identity. The finished rows are told apart by their packed
-    bytes, and only a row not seen before registers a class.
+    A normal H (a class of one member) needs no search. Its (H,H)-double
+    cosets are its cosets, so the least coset representatives serve as r,
+    and <H, r> = H<r>, the union of the cosets r^k*H (`_normal_extensions`).
+    The work list keeps normal subgroups apart by order, and a stack of them
+    of one order, about GROW_CELLS cells, is extended in one step. G itself
+    is not extended.
+
+    The extensions of several other work-list subgroups grow in one batched
+    search of at most about GROW_CELLS mask cells: row i of a `(rows, n)`
+    mask starts from H's elements with frontier H*r and generators
+    gens(H) + (r,), and ends as the mask of <H, r>. A row with a shorter
+    frontier repeats one of its own frontier elements, and one with fewer
+    generators is padded with the identity. On either path the finished rows
+    are told apart by their packed bytes, and only a row not seen before
+    registers a class.
 
     The pass also yields the conjugacy classes, so it stores G's lattice when
     none is memoised yet; `lattice` reads it from there.
@@ -766,6 +775,7 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
     found: dict[bytes, Subgroup] = {}  # keyed by the packed mask
     classes: list[list[Subgroup]] = []
     work: list[tuple[Subgroup, tuple[int, ...]]] = []  # (H, generators of H)
+    normal: dict[int, list[tuple[Subgroup, tuple[int, ...]]]] = {}  # the same, by order
     # the elements known to generate a registered cyclic subgroup
     generates_found = np.zeros(n, dtype=bool)
 
@@ -774,8 +784,10 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
         members = [Subgroup._of_mask(G, row) for row in masks]
         found.update(zip(keys, members))
         classes.append(members)
-        if members[0].order > 1:
-            work.append((members[0], gens))
+        order = members[0].order
+        if 1 < order < n:
+            pending = normal.setdefault(order, []) if len(members) == 1 else work
+            pending.append((members[0], gens))
         return masks
 
     for x in range(n):
@@ -787,45 +799,88 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
             # the same order as x
             generates_found[masks.any(axis=0) & (G.element_orders == G.element_orders[x])] = True
     idx = np.arange(n)
-    while work:
+    while work or normal:
         batch, cells = [], 0
-        while work and cells < GROW_CELLS:
-            H, gens = work.pop()
-            # the least element of each (H,H)-double coset; 0 is H's own
-            reps = np.flatnonzero(_least_in_double_coset(G, H, H) == idx)[1:]
-            if reps.size:
+        if normal:
+            # pending normal subgroups of the greatest order, as many as fit
+            order = max(normal)
+            stack = normal[order]
+            # cells of one H's coset gather (n*|H|) or of its masks (< n*n/|H|)
+            step = n * max(order, n // order)
+            while stack and cells < GROW_CELLS:
+                batch.append(stack.pop())
+                cells += step
+            if not stack:
+                del normal[order]
+            owner, reps, reached = _normal_extensions(
+                G.mul, np.array([H.elem_array for H, _ in batch]))
+        else:
+            while work and cells < GROW_CELLS:
+                H, gens = work.pop()
+                # the least element of each (H,H)-double coset; 0 is H's own
+                reps = np.flatnonzero(_least_in_double_coset(G, H, H) == idx)[1:]
                 batch.append((H, gens, reps))
                 cells += reps.size * n
-        if not batch:
-            continue
-        rows = cells // n
-        width = max(H.order for H, _, _ in batch)
-        reached = np.empty((rows, n), dtype=bool)
-        frontier = np.empty((rows, width), dtype=np.intp)
-        row_gens = np.zeros((rows, max(len(gens) for _, gens, _ in batch) + 1),
-                            dtype=np.intp)
-        start = 0
-        for H, gens, reps in batch:
-            block = slice(start, start + reps.size)
-            reached[block] = H.mask
-            frontier[block, :H.order] = G.mul[H.elem_array[None, :], reps[:, None]]
-            frontier[block, H.order:] = reps[:, None]  # r = 0*r lies in H*r
-            row_gens[block, :len(gens)] = gens
-            row_gens[block, len(gens)] = reps
-            start += reps.size
-        _grow(G.mul, reached, frontier, row_gens)
+            rows = cells // n
+            width = max(H.order for H, _, _ in batch)
+            reached = np.empty((rows, n), dtype=bool)
+            frontier = np.empty((rows, width), dtype=np.intp)
+            row_gens = np.zeros((rows, max(len(gens) for _, gens, _ in batch) + 1),
+                                dtype=np.intp)
+            start = 0
+            for H, gens, reps in batch:
+                block = slice(start, start + reps.size)
+                reached[block] = H.mask
+                frontier[block, :H.order] = G.mul[H.elem_array[None, :], reps[:, None]]
+                frontier[block, H.order:] = reps[:, None]  # r = 0*r lies in H*r
+                row_gens[block, :len(gens)] = gens
+                row_gens[block, len(gens)] = reps
+                start += reps.size
+            _grow(G.mul, reached, frontier, row_gens)
+            del frontier, row_gens
+            owner = np.repeat(np.arange(len(batch)), [reps.size for _, _, reps in batch])
+            reps = np.concatenate([reps for _, _, reps in batch])
         keys = _packed_rows(reached)
-        start = 0
-        for H, gens, reps in batch:
-            for i, r in enumerate(reps.tolist(), start):
-                if keys[i] not in found:
-                    register(reached[i], keys[i], gens + (r,))
-            start += reps.size
-        del reached, frontier, row_gens
+        for i, (j, r) in enumerate(zip(owner.tolist(), reps.tolist())):
+            if keys[i] not in found:
+                register(reached[i], keys[i], batch[j][1] + (r,))
+        del reached
     lat = _lattice_of(classes)
     if G._lattice is None:
         G._lattice = lat
     return list(lat.subgroups)
+
+
+def _normal_extensions(mul: np.ndarray, elems: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                                     np.ndarray]:
+    """Every extension <H, r> of the normal subgroups H whose ascending
+    elements are the rows of `elems` (all of one order), by the least
+    element r of each coset of H other than H itself. Returns, per extension,
+    the row j of its H, its r, and the `(extensions, n)` masks.
+
+    For normal H, r^k*H = H*r^k, so the union of the cosets r^k*H over k
+    below the order of rH is closed under products: it is <H, r>. An element
+    x lies in it exactly when its coset xH is one of those, so each row marks
+    the least elements of the cosets r^k*H (a walk along the powers of r
+    until one falls in H) and reads its mask off every element's coset.
+    """
+    n = mul.shape[0]
+    # least[j, g]: the least element of the coset g*H_j
+    least = mul[:, elems].min(axis=2).T
+    owner, reps = np.nonzero(least == np.arange(n))
+    owner, reps = owner[reps != 0], reps[reps != 0]
+    marked = np.zeros((reps.size, n), dtype=bool)  # row i: cosets of <H, r_i>
+    marked[:, 0] = True
+    rows, power, label = np.arange(reps.size), reps, least[owner, reps]
+    while rows.size:
+        marked[rows, label] = True
+        power = mul[power, reps[rows]]
+        label = least[owner[rows], power]
+        more = label != 0
+        rows, power, label = rows[more], power[more], label[more]
+    # row i of the masks is row i of marked read at every element's label
+    at = least[owner] + np.arange(0, marked.size, n)[:, None]
+    return owner, reps, marked.ravel()[at]
 
 
 @dataclass(frozen=True)

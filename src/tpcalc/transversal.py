@@ -388,9 +388,11 @@ class BoundsReport:
     all_hold: bool
 
 
-def bounds_report(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> BoundsReport:
+def bounds_report(G: GroupTable, H: Subgroup, K: Subgroup | None = None,
+                  graph: CosetGraph | None = None) -> BoundsReport:
     """The bounds on P(G; H, K), from the pair's coset graph."""
-    graph = build_coset_graph(G, H, K)
+    if graph is None:
+        graph = build_coset_graph(G, H, K)
     normal_pair = H.elems == graph.K.elems and is_normal_subgroup(G, H)
     return bounds_of(graph.n, graph.s, graph.m, p_g(G, H, graph.K, graph=graph),
                      normal_pair=normal_pair)

@@ -17,6 +17,7 @@ from tpcalc import cli
 from tpcalc import group_core as gc
 from tpcalc import presets
 from tpcalc import tp_engine as te
+from tpcalc import transversal as tv
 from tpcalc.errors import LIMITS, FormatError, Limits, ParameterError, SizeLimitError, using
 
 
@@ -615,6 +616,30 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "P = 1/2" in out and "t-vector (2, 1)" in out
+
+    def test_pg_bounds_builds_the_coset_graph_once(self, capsys, monkeypatch):
+        """The bounds read the graph that P was taken from."""
+        build, builds = tv.build_coset_graph, []
+
+        def counting(*args, **kwargs):
+            builds.append(args[1:])
+            return build(*args, **kwargs)
+
+        for module in (cli, tv):
+            monkeypatch.setattr(module, "build_coset_graph", counting)
+        code = cli.main(["pg", "dihedral 3", "--subgroup", "3", "--bounds"])
+        lines = capsys.readouterr().out.splitlines()
+        assert (code, len(builds)) == (0, 1)
+        assert lines[:2] == ["P = 1/2", "t-vector (2, 1)  s 2  m 1"]
+        payload = json.loads("\n".join(lines[2:]))
+        assert payload.pop("upper_gamma") == pytest.approx(0.5235987755982994, rel=1e-12)
+        half = {"num": "1", "den": "2"}
+        assert payload == {
+            "all_hold": True, "n": 3, "s": 2, "m": 1, "p": half,
+            "lower_factorial": half, "upper_half_power": half,
+            "upper_ams": {"num": "125", "den": "216"},
+            "upper_seven_eighths": {"num": "343", "den": "512"},
+        }
 
     def test_graph_dot(self, capsys):
         code = cli.main(["graph", "dihedral 3", "--subgroup", "3", "--dot"])

@@ -575,7 +575,8 @@ class TestSubgroupEnumeration:
             counts[name] = len(got)
         assert (counts["psl3_2"], counts["s5"]) == (179, 156)
 
-    @pytest.mark.parametrize("p, r, want", [(2, 4, 67), (3, 3, 28), (5, 2, 8), (2, 6, 2825)])
+    @pytest.mark.parametrize("p, r, want", [(2, 4, 67), (3, 3, 28), (5, 2, 8), (2, 6, 2825),
+                                            (3, 4, 212), (5, 3, 64)])
     def test_elementary_abelian_counts(self, p, r, want):
         assert sum(gaussian_binomial(r, k, p) for k in range(r + 1)) == want
         assert len(gc.all_subgroups(gc.elementary_abelian(p, r))) == want
@@ -694,6 +695,17 @@ class TestLatticeOracle:
                 images = sorted((tuple(sorted(perm[list(k)].tolist())) for k in subs),
                                 key=lambda elems: (len(elems), elems))
                 assert_lattice_is_the_reference(gc.lattice(X), X, images, (name, seed))
+
+    @pytest.mark.parametrize("expr", ["dp (quaternion 8) (elemab 2 2)",
+                                      "dp (cyclic 9) (cyclic 3)"])
+    def test_normal_extensions(self, expr):
+        """Groups whose lattices are found mostly from normal subgroups: a
+        non-abelian group in which every subgroup is normal, and an abelian
+        one with cosets rH of order 3 and 9."""
+        G = presets.build_group(expr)
+        lat = gc.lattice(gc.GroupTable(G.mul))
+        assert len(lat.normal) == len(lat.subgroups) == len(lat.classes)
+        assert_lattice_is_the_reference(lat, G, extend_every_subgroup(G), expr)
 
     def test_a6_above_the_default_cap(self):
         a6 = gc.from_permutation_generators(6, [(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)])
