@@ -224,10 +224,13 @@ def _ryser(A: list[list[int]]) -> int:
 
 
 def dt_enumerate(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> int:
-    """Count two-sided transversals by depth-first choice of one element per
-    left coset, pruning on the set of right cosets already hit. The count uses
-    neither the coset graph nor the weight matrix, so it is an independent
-    route to |H|^n * P."""
+    """Count two-sided transversals level by level. Each partial transversal
+    is one row, the bitmask of the right cosets it has hit; every step extends
+    all rows by each element of the next left coset and keeps a choice only
+    when its right coset is still free. At the last level the free choices
+    are counted, not built. Rows are never merged or weighted, and the count
+    uses neither the coset graph nor the weight matrix, so it is an
+    independent route to |H|^n * P."""
     if K is None:
         K = H
     if H.index != K.index:
@@ -236,29 +239,21 @@ def dt_enumerate(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> int:
     if H.order**n > ENUMERATION_BUDGET:
         raise BudgetError(f"|H|^n = {H.order**n} exceeds budget {ENUMERATION_BUDGET}")
     right_id = cosets(G, K, "right").ids
-    # the right cosets met by each left coset's elements, one list per level
-    options = [right_id[G.mul[l, H.elem_array]].tolist()
-               for l in cosets(G, H, "left").reps]
-
-    count = 0
-    used = [False] * n
-    chosen: list[int] = []              # the right coset picked at each open level
-    stack = [iter(options[0])]          # the untried choices at each open level
-    while stack:
-        rid = next(stack[-1], None)
-        if rid is None:                 # level exhausted: undo the choice below it
-            stack.pop()
-            if chosen:
-                used[chosen.pop()] = False
-        elif used[rid]:
-            continue
-        elif len(stack) == n:           # a choice at the last level completes one
-            count += 1
-        else:
-            used[rid] = True
-            chosen.append(rid)
-            stack.append(iter(options[len(stack)]))
-    return count
+    reps = np.asarray(cosets(G, H, "left").reps)
+    # row i: the right coset of each element of the i-th left coset, as one bit;
+    # a mask of 63 bits or more would overflow an int64, so a wide index (where
+    # the budget leaves |H| = 1) keeps Python ints
+    hit = right_id[G.mul[reps[:, None], H.elem_array]].astype(np.int64 if n < 63 else object)
+    bits = np.left_shift(np.ones_like(hit), hit)
+    # bit 2^r of a mask is clear exactly when the mask mod 2^(r+1) is below 2^r.
+    # The test is arithmetic, not bitwise: nothing else runs numpy's int64
+    # bitwise loops, and their first use adds about 64 KB of mapped code to RSS
+    spans = 2 * bits
+    masks = np.zeros(1, dtype=hit.dtype)  # the one empty partial transversal
+    for level, span in zip(bits[:-1], spans[:-1]):
+        before = masks[:, None]
+        masks = (before + level)[before % span < level]
+    return int(np.count_nonzero(masks[:, None] % spans[-1] < bits[-1]))
 
 
 # ---------------------------------------------------------------------------

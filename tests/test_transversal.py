@@ -354,7 +354,7 @@ class TestEnumeration:
             tv.dt_enumerate(G, subgroup_of_order(G, 2))
 
     def test_oracle_agreement_on_pairs(self, zoo):
-        for name in ("s3", "c6", "d4", "c2sq"):
+        for name in ("s3", "c6", "d4", "c2sq", "a4", "s4"):
             G = zoo[name]
             subs = gc.all_subgroups(G)
             by_order = {}
@@ -363,11 +363,38 @@ class TestEnumeration:
             for bucket in by_order.values():
                 for H in bucket:
                     for K in bucket:
-                        if H.order ** H.index > 3000:
+                        if H.order ** H.index > 4096:  # keeps S4's 4^6 and 2^12
                             continue
                         count = tv.dt_enumerate(G, H, K)
                         assert count == dt_count_oracle(G, H, K)
                         assert count == H.order ** H.index * tv.p_g(G, H, K)
+
+    def test_near_budget_pair(self):
+        # a reflection of D19: |H|^n = 2^19, the widest level the budget allows
+        G = gc.dihedral(19)
+        H = subgroup_of_order(G, 2)
+        assert not gc.is_normal_subgroup(G, H)
+        assert H.order ** H.index == 524_288 <= tv.ENUMERATION_BUDGET
+        count = tv.dt_enumerate(G, H)
+        assert count == H.order ** H.index * tv.p_g(G, H)
+        assert count == 1024
+
+    def test_right_cosets_past_bit_62_stay_distinct(self, monkeypatch):
+        G = gc.cyclic(128)
+        H = gc.trivial_subgroup(G)
+        assert tv.dt_enumerate(G, H) == 1
+        real = tv.cosets
+
+        def merged(G, H, side):
+            found = real(G, H, side)
+            if side == "left":
+                return found
+            ids = found.ids.copy()
+            ids[ids == 101] = 100  # two left cosets now meet one right coset
+            return gc.Cosets(ids, found.reps)
+
+        monkeypatch.setattr(tv, "cosets", merged)
+        assert tv.dt_enumerate(G, H) == 0
 
     def test_deep_index_leaves_recursion_limit_alone(self, monkeypatch):
         G = gc.cyclic(1100)  # more levels than the default recursion limit
