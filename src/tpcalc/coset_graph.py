@@ -3,12 +3,14 @@ of K, its components, weights, and the component-count bounds.
 
 The components are the (K,H)-double cosets: the blocks come from
 `double_cosets` and are checked against the intersection matrix before a graph
-is returned. Construction is a pure function of (G, H, K).
+is returned. The graph keeps each coset's block label and the component sizes;
+the `Component` tuples are built on first use. Construction is a pure function
+of (G, H, K).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -45,14 +47,26 @@ class CosetGraph:
     n: int
     left_reps: tuple[int, ...]
     right_reps: tuple[int, ...]
-    components: tuple[Component, ...]
+    t_vector: tuple[int, ...]  # the component sizes, sorted decreasingly
     s: int
     m: int
+    # block (double coset) id of each left and of each right coset, by coset id
+    lblock: np.ndarray = field(compare=False, repr=False)
+    rblock: np.ndarray = field(compare=False, repr=False)
 
     @cached_property
-    def t_vector(self) -> tuple[int, ...]:
-        """The component sizes, sorted decreasingly."""
-        return tuple(sorted((c.t for c in self.components), reverse=True))
+    def components(self) -> tuple[Component, ...]:
+        """One component per block, by block id, its representatives ascending
+        (coset ids already are)."""
+        t = np.bincount(self.lblock)
+        lsorted = [self.left_reps[i] for i in np.argsort(self.lblock, kind="stable").tolist()]
+        rsorted = [self.right_reps[j] for j in np.argsort(self.rblock, kind="stable").tolist()]
+        t = t[t > 0].tolist()  # a block id that no coset carries is no component
+        return tuple(
+            Component(left_vertices=tuple(lsorted[end - k:end]),
+                      right_vertices=tuple(rsorted[end - k:end]), t=k,
+                      weight=self.H.order // k)
+            for k, end in zip(t, np.cumsum(t).tolist()))
 
 
 def build_coset_graph(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> CosetGraph:
@@ -60,14 +74,17 @@ def build_coset_graph(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> 
 
     W[i, j] = |l_i H meet K r_j|. Each left coset l_i H and each right coset
     K r_j lies inside one double coset, its block. The checks, each one array
-    step: no coset straddles two blocks; W is zero between blocks; w * t = |H|
-    on every cell of a block of t left cosets; the trivial-component count
-    matches the conjugator-counting formula. So W is the positive constant
-    |H|/t inside a block, and the blocks are the components. A block of t left
-    and t' right cosets has t|H| = t'|K| elements, so t = t': each component
-    is balanced, and t divides |K| = |H| = w * t. A merged block leaves a zero
-    inside it; a split one leaves a coset straddling two blocks, and an edge
-    between them.
+    step: no coset straddles two blocks; w * t = |H| on every cell of a block
+    of t left cosets; the trivial-component count matches the
+    conjugator-counting formula. W is zero between blocks by the first check:
+    W[i, j] > 0 means some g lies in l_i H and in K r_j, so the block of coset
+    i and the block of coset j are both the block of g. So W is the positive
+    constant |H|/t inside a block, and the blocks are the components. A block
+    of t left and t' right cosets has t|H| = t'|K| elements, so t = t': each
+    component is balanced, and t divides |K| = |H| = w * t. A merged block
+    leaves a zero inside it; a split one leaves a coset straddling two blocks.
+    The graph keeps the block labels; `components` is built from them on
+    first use.
     """
     if K is None:
         K = H
@@ -79,7 +96,6 @@ def build_coset_graph(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> 
     n = H.index
     left = cosets(G, H, "left")
     right = cosets(G, K, "right")
-    lreps, rreps = left.reps, right.reps
     # W[i, j] = |l_i H  intersect  K r_j|: count elements by (left, right) coset
     W = np.bincount(left.ids * n + right.ids, minlength=n * n).reshape(n, n)
 
@@ -88,30 +104,23 @@ def build_coset_graph(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> 
     lblock[left.ids] = block_of
     rblock = np.empty(n, dtype=np.intp)
     rblock[right.ids] = block_of
-    if not (np.array_equal(lblock[left.ids], block_of)
-            and np.array_equal(rblock[right.ids], block_of)):
+    if not ((lblock[left.ids] == block_of) & (rblock[right.ids] == block_of)).all():
         raise VerificationError("a coset straddles two double cosets")
+    lblock.setflags(write=False)
+    rblock.setflags(write=False)
     on_block = lblock[:, None] == rblock[None, :]
-    if W[~on_block].any():
-        raise VerificationError("cosets in different double cosets intersect")
     t = np.bincount(lblock)  # left cosets per block
     if not (W * t[lblock][:, None] == H.order)[on_block].all():
         raise VerificationError("component is not complete with constant weight")
 
-    # group the cosets by block, reps ascending within each (the ids already are)
-    lsorted = [lreps[i] for i in np.argsort(lblock, kind="stable").tolist()]
-    rsorted = [rreps[j] for j in np.argsort(rblock, kind="stable").tolist()]
-    t = t[t > 0].tolist()  # a block id that no coset carries is no component
-    components = tuple(
-        Component(left_vertices=tuple(lsorted[end - k:end]),
-                  right_vertices=tuple(rsorted[end - k:end]), t=k, weight=H.order // k)
-        for k, end in zip(t, np.cumsum(t).tolist()))
+    t = [k for k in t.tolist() if k]  # a block id that no coset carries is no component
     m = t.count(1)
     m_formula = conjugator_count(G, H, K) // H.order
     if m != m_formula:
         raise VerificationError(f"trivial-component count {m} != formula value {m_formula}")
-    return CosetGraph(parent=G, H=H, K=K, n=n, left_reps=lreps, right_reps=rreps,
-                      components=components, s=len(t), m=m)
+    return CosetGraph(parent=G, H=H, K=K, n=n, left_reps=left.reps, right_reps=right.reps,
+                      t_vector=tuple(sorted(t, reverse=True)), s=len(t), m=m,
+                      lblock=lblock, rblock=rblock)
 
 
 @dataclass(frozen=True)

@@ -994,7 +994,7 @@ def cosets(G: GroupTable, H: Subgroup, side: str) -> Cosets:
     reps = np.unique(least)
     ids = np.searchsorted(reps, least)
     ids.setflags(write=False)
-    return Cosets(ids, tuple(int(r) for r in reps))
+    return Cosets(ids, tuple(reps.tolist()))
 
 
 @dataclass(frozen=True)

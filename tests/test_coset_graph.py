@@ -310,10 +310,49 @@ class TestPlantedDoubleCosetFaults:
 
         self.plant(monkeypatch, split)
         for G, H in pairs:
-            # the straddling-coset check and the zero-between-blocks check
-            # each catch a split on their own
+            # the right coset Hx through the moved left coset xH also meets the
+            # rest of the old block, so the straddle check catches the split
             with pytest.raises(VerificationError, match="straddles|intersect"):
                 cg.build_coset_graph(G, H)
+
+    def test_wrong_conjugator_count_rejected(self, zoo, monkeypatch):
+        pairs = list(self.pairs(zoo))
+        assert len(pairs) >= 8
+        real = cg.conjugator_count
+        monkeypatch.setattr(cg, "conjugator_count",
+                            lambda G, H, K: real(G, H, K) + H.order)
+        for G, H in pairs:
+            with pytest.raises(VerificationError, match="trivial-component count"):
+                cg.build_coset_graph(G, H)
+
+
+class TestLazyComponents:
+    def test_components_agree_with_the_eager_fields(self, catalog_groups):
+        checked = 0
+        for name, G in catalog_groups.items():
+            if G.order > 24:
+                continue
+            subs = gc.all_subgroups(G)
+            for H in subs:
+                for K in subs:
+                    if K.order != H.order:
+                        continue
+                    graph = cg.build_coset_graph(G, H, K)
+                    comps = graph.components
+                    assert graph.t_vector == tuple(
+                        sorted((c.t for c in comps), reverse=True)), name
+                    assert graph.s == len(comps), name
+                    assert graph.m == sum(c.t == 1 for c in comps), name
+                    assert graph.components is comps, name
+                    checked += 1
+        assert checked > 1000
+
+    def test_block_labels_are_read_only(self, zoo):
+        G = zoo["s3"]
+        graph = cg.build_coset_graph(G, subgroup_of_order(G, 2))
+        for labels in (graph.lblock, graph.rblock):
+            with pytest.raises(ValueError):
+                labels[0] = 1
 
 
 class TestInducedSubgraph:

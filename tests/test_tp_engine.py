@@ -452,7 +452,7 @@ class TestOrbitRoute:
         G = gc.dihedral(3)
         rec = next(r for r in te.tp(G).table if not r.is_normal)
         graph = cg.build_coset_graph(G, rec.subgroup)
-        planted = dataclasses.replace(graph, components=graph.components[:-1])
+        planted = dataclasses.replace(graph, t_vector=graph.t_vector[:-1])
         build = cg.build_coset_graph
         monkeypatch.setattr(te, "build_coset_graph", lambda G, H, K=None:
                             planted if H == rec.subgroup else build(G, H, K))
