@@ -35,11 +35,15 @@ def factorial_ratio(t: int) -> Fraction:
 
 
 def product_of_ratios(entries: Sequence[int]) -> Fraction:
-    """Exact product of t!/t^t over the given positive integers."""
-    out = Fraction(1)
+    """Exact product of t!/t^t over the given positive integers, multiplied
+    as ints and reduced once; t = 1 contributes 1."""
+    num = den = 1
     for t in entries:
-        out *= factorial_ratio(t)
-    return out
+        if t != 1:
+            ratio = factorial_ratio(t)
+            num *= ratio.numerator
+            den *= ratio.denominator
+    return Fraction(num, den)
 
 
 def is_prime(n: int) -> bool:

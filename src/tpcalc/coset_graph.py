@@ -3,9 +3,9 @@ of K, its components, weights, and the component-count bounds.
 
 The components are the (K,H)-double cosets: the blocks come from
 `double_cosets` and are checked against the intersection matrix before a graph
-is returned. The graph keeps each coset's block label and the component sizes;
-the `Component` tuples are built on first use. Construction is a pure function
-of (G, H, K).
+is returned, with the left cosets of H that `double_cosets` numbered. The
+graph keeps each coset's block label and the component sizes; the `Component`
+tuples are built on first use. Construction is a pure function of (G, H, K).
 """
 
 from __future__ import annotations
@@ -94,12 +94,12 @@ def build_coset_graph(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> 
         raise PreconditionError(
             f"subgroups must have equal index, got {H.index} and {K.index}")
     n = H.index
-    left = cosets(G, H, "left")
+    dcs = double_cosets(G, H, K)
+    left, block_of = dcs.left, dcs.block_of
     right = cosets(G, K, "right")
     # W[i, j] = |l_i H  intersect  K r_j|: count elements by (left, right) coset
     W = np.bincount(left.ids * n + right.ids, minlength=n * n).reshape(n, n)
 
-    block_of = double_cosets(G, H, K).block_of
     lblock = np.empty(n, dtype=np.intp)
     lblock[left.ids] = block_of
     rblock = np.empty(n, dtype=np.intp)

@@ -817,8 +817,9 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
         else:
             while work and cells < GROW_CELLS:
                 H, gens = work.pop()
+                least = G.mul[:, H.elem_array].min(axis=1)  # entry g: least of gH
                 # the least element of each (H,H)-double coset; 0 is H's own
-                reps = np.flatnonzero(_least_in_double_coset(G, H, H) == idx)[1:]
+                reps = np.flatnonzero(_least_in_double_coset(G, least, H) == idx)[1:]
                 batch.append((H, gens, reps))
                 cells += reps.size * n
             rows = cells // n
@@ -975,7 +976,7 @@ def _conjugacy_class(perms: np.ndarray, mask: np.ndarray,
 
 @dataclass(frozen=True)
 class Cosets:
-    """Partition of G into the cosets of one subgroup, by minimal representative."""
+    """Partition of G into the cosets of one subgroup; ids ascend with the reps."""
 
     ids: np.ndarray        # element index -> coset index (read-only)
     reps: tuple[int, ...]  # ascending; reps[i] is the least element of coset i
@@ -999,30 +1000,41 @@ def cosets(G: GroupTable, H: Subgroup, side: str) -> Cosets:
 
 @dataclass(frozen=True)
 class DoubleCosets:
-    """Partition of G into (K,H)-double cosets, by minimal representative."""
+    """Partition of G into (K,H)-double cosets, by minimal representative,
+    with the left cosets of H that make up the blocks. The `reps` and `sizes`
+    tuples are built on first read."""
 
-    reps: tuple[int, ...]
-    sizes: tuple[int, ...]
-    block_of: np.ndarray  # element index -> block index
+    left: Cosets          # the left cosets gH
+    block_of: np.ndarray  # element index -> block index (read-only)
+    rep_ids: np.ndarray   # ascending; the left-coset id of each block's least element
+
+    @cached_property
+    def reps(self) -> tuple[int, ...]:
+        return tuple(self.left.reps[i] for i in self.rep_ids.tolist())
+
+    @cached_property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(np.bincount(self.block_of).tolist())
 
 
-def _least_in_double_coset(G: GroupTable, H: Subgroup, K: Subgroup) -> np.ndarray:
-    """Entry g is the least element of the double coset KgH. KgH is the union
-    of the left cosets kgH, so its least element is the least left-coset
-    representative met by the elements kg. The g equal to their entry are the
-    minimal representatives."""
-    least_in_left = G.mul[:, H.elem_array].min(axis=1)  # row g: least of gH
-    return least_in_left[G.mul[K.elem_array, :]].min(axis=0)
+def _least_in_double_coset(G: GroupTable, label: np.ndarray, K: Subgroup) -> np.ndarray:
+    """Entry g is the least label of the left cosets kgH that make up KgH,
+    where label[x] names xH and orders the left cosets as their least
+    elements do (the least element itself, or the id from `cosets`). With
+    least elements as labels, the g equal to their entry are the minimal
+    representatives."""
+    return label[G.mul[K.elem_array, :]].min(axis=0)
 
 
 def double_cosets(G: GroupTable, H: Subgroup, K: Subgroup) -> DoubleCosets:
-    """The double cosets KgH, numbered by ascending minimal representative."""
-    least = _least_in_double_coset(G, H, K)
-    reps = np.unique(least)
-    block_of = np.searchsorted(reps, least)
+    """The double cosets KgH, numbered by ascending minimal representative:
+    the block of g is named by the least id of the left cosets in KgH."""
+    left = cosets(G, H, "left")
+    least = _least_in_double_coset(G, left.ids, K)
+    rep_ids = np.unique(least)
+    block_of = np.searchsorted(rep_ids, least)
     block_of.setflags(write=False)
-    sizes = np.bincount(block_of)
-    return DoubleCosets(tuple(reps.tolist()), tuple(sizes.tolist()), block_of)
+    return DoubleCosets(left, block_of, rep_ids)
 
 
 @dataclass(frozen=True)
@@ -1059,22 +1071,22 @@ def is_abelian_modulo(G: GroupTable, gens: Sequence[int], N: Subgroup | None = N
 
 
 def _conjugators(G: GroupTable, H: Subgroup, K: Subgroup) -> np.ndarray:
-    """The ascending g with H^g = K. Conjugation is injective, so H^g = K
-    exactly when |H| = |K| and H^g lies inside K."""
+    """Boolean mask over G of the g with H^g = K. Conjugation is injective,
+    so H^g = K exactly when |H| = |K| and H^g lies inside K."""
     if H.order != K.order:
-        return np.zeros(0, dtype=np.int64)
-    return np.flatnonzero(K.mask[conjugates(G, H.elem_array)].all(axis=1))
+        return np.zeros(G.order, dtype=bool)
+    return K.mask[conjugates(G, H.elem_array)].all(axis=1)
 
 
 def are_conjugate(G: GroupTable, H: Subgroup, K: Subgroup) -> tuple[bool, int | None]:
     """Whether H^g = K for some g; returns the minimal witness when true."""
-    found = _conjugators(G, H, K)
+    found = np.flatnonzero(_conjugators(G, H, K))
     return (True, int(found[0])) if found.size else (False, None)
 
 
 def conjugator_count(G: GroupTable, H: Subgroup, K: Subgroup) -> int:
     """|{g in G : H^g = K}|."""
-    return int(_conjugators(G, H, K).size)
+    return int(np.count_nonzero(_conjugators(G, H, K)))
 
 
 def subgroup_conjugacy_classes(G: GroupTable,

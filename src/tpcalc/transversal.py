@@ -120,8 +120,9 @@ def weight_matrix(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> Weig
     W = np.bincount(left.ids * n + right.ids, minlength=n * n).reshape(n, n)
     rreps = right.reps
     if matched:
-        rreps = tuple(int(G.inv[l]) for l in left.reps)
-        columns = right.ids[list(rreps)]
+        inverses = G.inv[list(left.reps)]
+        rreps = tuple(inverses.tolist())
+        columns = right.ids[inverses]
         if np.unique(columns).size != n:
             raise VerificationError("right labels do not form a right transversal")
         W = W[:, columns]

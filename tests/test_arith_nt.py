@@ -37,6 +37,25 @@ class TestFactorialRatio:
         assert values[0] == 1 and all(v < 1 for v in values[1:])
 
 
+class TestProductOfRatios:
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(st.lists(st.one_of(st.just(1), st.integers(1, 30)), max_size=40))
+    def test_equals_the_entry_by_entry_product(self, entries):
+        # oracle: one reduced Fraction multiply per entry, t = 1 included
+        want = Fraction(1)
+        for t in entries:
+            want *= Fraction(math.factorial(t), t**t)
+        assert nt.product_of_ratios(entries) == want
+
+    def test_empty_product_is_one(self):
+        assert nt.product_of_ratios([]) == 1
+
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_rejects_nonpositive_entries(self, t):
+        with pytest.raises(ParameterError):
+            nt.product_of_ratios([1, 2, t, 1])
+
+
 class TestPadicValuation:
     def test_simple_values(self):
         assert nt.padic_valuation(Fraction(1, 2), 2) == -1

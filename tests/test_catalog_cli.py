@@ -252,6 +252,13 @@ class TestScan:
         assert len(report["entries"]) == len(catalog_entries)
         assert all("error" not in row and "skipped" not in row
                    for row in report["entries"])
+        # coverage gate: a theorem whose hypothesis no builtin group meets is
+        # reported consistent without being exercised
+        held = Counter()
+        for row in report["entries"]:
+            for verdict in row["verdicts"]:
+                held[verdict["theorem"]] += verdict["hypothesis_holds"]
+        assert [t for t, k in held.items() if k == 0] == []
         assert entries_digest(report) == BUILTIN_SCAN_DIGEST
 
     def test_each_check_family_runs_once_per_group(self, small_catalog, monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,53 @@ class TestDoubleCosets:
                         assert all(dcs.block_of[x] == i for x in block), name
 
 
+def eager_double_cosets(G, H, K):
+    """Oracle: the least element of each KgH from its own gathers, numbered
+    with np.unique and searchsorted, sized with bincount."""
+    least_in_left = G.mul[:, H.elem_array].min(axis=1)
+    least = least_in_left[G.mul[K.elem_array, :]].min(axis=0)
+    reps = np.unique(least)
+    block_of = np.searchsorted(reps, least)
+    return tuple(reps.tolist()), tuple(np.bincount(block_of).tolist()), block_of
+
+
+class TestSharedLeftCosets:
+    def test_against_eager_oracles_on_every_same_order_pair(self, catalog_groups):
+        checked = 0
+        for name, G in catalog_groups.items():
+            if G.order > 24:
+                continue
+            subs = gc.all_subgroups(G)
+            for H in subs:
+                for K in subs:
+                    if K.order != H.order:
+                        continue
+                    reps, sizes, block_of = eager_double_cosets(G, H, K)
+                    dcs = cg.double_cosets(G, H, K)
+                    assert "reps" not in vars(dcs) and "sizes" not in vars(dcs), name
+                    assert (dcs.reps, dcs.sizes) == (reps, sizes), name
+                    assert np.array_equal(dcs.block_of, block_of), name
+                    left = gc.cosets(G, H, "left")
+                    assert dcs.left.reps == left.reps, name
+                    assert np.array_equal(dcs.left.ids, left.ids), name
+                    # oracle for the builder's fields: the eager blocks,
+                    # labelled by left and by right coset
+                    right = gc.cosets(G, K, "right")
+                    lblock = np.empty(H.index, dtype=np.intp)
+                    lblock[left.ids] = block_of
+                    rblock = np.empty(H.index, dtype=np.intp)
+                    rblock[right.ids] = block_of
+                    t = [k for k in np.bincount(lblock).tolist() if k]
+                    graph = cg.build_coset_graph(G, H, K)
+                    assert (graph.left_reps, graph.right_reps) == (left.reps, right.reps), name
+                    assert graph.t_vector == tuple(sorted(t, reverse=True)), name
+                    assert (graph.s, graph.m) == (len(t), t.count(1)), name
+                    assert np.array_equal(graph.lblock, lblock), name
+                    assert np.array_equal(graph.rblock, rblock), name
+                    checked += 1
+        assert checked == 2621
+
+
 class TestSBounds:
     def test_s3(self, zoo):
         H = subgroup_of_order(zoo["s3"], 2)
@@ -274,7 +323,7 @@ class TestPlantedDoubleCosetFaults:
         def planted(G, H, K):
             dcs = real(G, H, K)
             block_of = edit(G, H, dcs.block_of.copy())
-            return gc.DoubleCosets(dcs.reps, dcs.sizes, block_of)
+            return dataclasses.replace(dcs, block_of=block_of)
 
         monkeypatch.setattr(cg, "double_cosets", planted)
 
