@@ -272,7 +272,7 @@ class Subgroup:
 
     parent: GroupTable = field(repr=False)
     elems: tuple[int, ...]
-    # built by the closure check in __post_init__ or by _of_mask; read-only
+    # built by the closure check in __post_init__ or by _of_masks; read-only
     mask: np.ndarray = field(init=False, repr=False, compare=False)
     elem_array: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -287,28 +287,52 @@ class Subgroup:
             raise ParameterError("element set is not closed under multiplication")
         if self.parent.order % len(elems) != 0:
             raise ParameterError("subgroup order does not divide the group order")
-        self._set_arrays(elems, mask, arr)
-
-    @classmethod
-    def _of_mask(cls, parent: GroupTable, mask: np.ndarray) -> Subgroup:
-        """The subgroup of `parent` with boolean mask `mask`, for a caller
-        that knows the set is one: a search closure, a conjugate, or the image
-        of a subgroup under a checked homomorphism. No closure check runs;
-        `subgroup_as_group` still rejects a set that is not closed."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "parent", parent)
-        elems = np.flatnonzero(mask).tolist()
-        # own copies: a view of a row, or the flatnonzero result, would keep
-        # its whole base array alive for as long as the subgroup lives
-        self._set_arrays(tuple(elems), np.array(mask), np.array(elems, dtype=np.int64))
-        return self
-
-    def _set_arrays(self, elems: tuple[int, ...], mask: np.ndarray, arr: np.ndarray) -> None:
         mask.setflags(write=False)
         arr.setflags(write=False)
         object.__setattr__(self, "elems", elems)
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "elem_array", arr)
+
+    @classmethod
+    def _of_masks(cls, parent: GroupTable, block: np.ndarray) -> list[Subgroup]:
+        """The subgroups of `parent` whose boolean masks are the rows of the
+        `(rows, n)` array `block`, for a caller that knows each row is one: a
+        search closure, a conjugate, or the image of a subgroup under a
+        checked homomorphism. No closure check runs; `subgroup_as_group`
+        still rejects a set that is not closed.
+
+        Each mask is a row view of `block`, and each element array a slice of
+        one array of all their elements. A view keeps its whole base alive,
+        which is safe here because each base holds exactly these subgroups:
+        the caller hands over a block of its own (made read-only here), and
+        `np.flatnonzero(block) % n` is a new one-dimensional array, where
+        `block.nonzero()[1]` would be a strided view that also keeps the row
+        indices alive. A block of one row shares nothing, and views would
+        keep two more array objects alive for its one subgroup, so that
+        subgroup gets the arrays themselves; most blocks of a small group's
+        lattice have one row."""
+        n = block.shape[1]
+        flat = np.flatnonzero(block) % n
+        flat.setflags(write=False)
+        elems = flat.tolist()
+        # each row's elements start at its identity 0
+        cuts = np.flatnonzero(flat == 0).tolist() + [len(elems)]
+        if len(block) == 1:
+            masks, arrays = [block[0].copy()], [flat]
+            masks[0].setflags(write=False)
+        else:
+            block.setflags(write=False)
+            masks, arrays = block, [flat[a:b] for a, b in zip(cuts, cuts[1:])]
+        make, put = object.__new__, object.__setattr__
+        out = []
+        for mask, arr, start, end in zip(masks, arrays, cuts, cuts[1:]):
+            self = make(cls)
+            put(self, "parent", parent)
+            put(self, "elems", tuple(elems[start:end]))
+            put(self, "mask", mask)
+            put(self, "elem_array", arr)
+            out.append(self)
+        return out
 
     @property
     def order(self) -> int:
@@ -762,9 +786,16 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
     mask starts from H's elements with frontier H*r and generators
     gens(H) + (r,), and ends as the mask of <H, r>. A row with a shorter
     frontier repeats one of its own frontier elements, and one with fewer
-    generators is padded with the identity. On either path the finished rows
-    are told apart by their packed bytes, and only a row not seen before
-    registers a class.
+    generators is padded with the identity.
+
+    Either path ends with a stack of masks, registered in whole-array steps.
+    One pass over the rows' packed bytes keeps the first row of each key not
+    registered yet (`_fresh_rows`). One comparison of those rows against
+    their images under every conjugation permutation finds the classes of
+    one, and their subgroups are built together from one block
+    (`Subgroup._of_masks`) and go to the normal work list. Each other row,
+    in stack order, registers its whole class by the orbit walk, unless an
+    earlier row's class already holds it.
 
     The pass also yields the conjugacy classes, so it stores G's lattice when
     none is memoised yet; `lattice` reads it from there.
@@ -772,7 +803,7 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
     check_limit(G.order, "order")
     n = G.order
     perms = _conjugation_perms(G)
-    found: dict[bytes, Subgroup] = {}  # keyed by the packed mask
+    found: set[bytes] = set()  # the packed masks of the registered subgroups
     classes: list[list[Subgroup]] = []
     work: list[tuple[Subgroup, tuple[int, ...]]] = []  # (H, generators of H)
     normal: dict[int, list[tuple[Subgroup, tuple[int, ...]]]] = {}  # the same, by order
@@ -781,8 +812,8 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
 
     def register(mask: np.ndarray, key: bytes, gens: tuple[int, ...]) -> np.ndarray:
         keys, masks = _conjugacy_class(perms, mask, key)
-        members = [Subgroup._of_mask(G, row) for row in masks]
-        found.update(zip(keys, members))
+        members = Subgroup._of_masks(G, masks)
+        found.update(keys)
         classes.append(members)
         order = members[0].order
         if 1 < order < n:
@@ -842,10 +873,24 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
             owner = np.repeat(np.arange(len(batch)), [reps.size for _, _, reps in batch])
             reps = np.concatenate([reps for _, _, reps in batch])
         keys = _packed_rows(reached)
-        for i, (j, r) in enumerate(zip(owner.tolist(), reps.tolist())):
-            if keys[i] not in found:
-                register(reached[i], keys[i], batch[j][1] + (r,))
+        rows = _fresh_rows(keys, found)
+        new = reached[rows]
         del reached
+        if not rows:
+            continue
+        keys = [keys[i] for i in rows]
+        # a row is a class of one when every conjugation permutation fixes it
+        alone = (new[:, perms] == new[:, None, :]).all(axis=(1, 2))
+        gens = [batch[j][1] + (r,) for j, r in zip(owner[rows].tolist(), reps[rows].tolist())]
+        for i, H in zip(np.flatnonzero(alone).tolist(), Subgroup._of_masks(G, new[alone])):
+            found.add(keys[i])
+            classes.append([H])
+            if H.order < n:
+                normal.setdefault(H.order, []).append((H, gens[i]))
+        # a later row may be a conjugate of an earlier one
+        for i in np.flatnonzero(~alone).tolist():
+            if keys[i] not in found:
+                register(new[i], keys[i], gens[i])
     lat = _lattice_of(classes)
     if G._lattice is None:
         G._lattice = lat
@@ -916,7 +961,7 @@ def lattice(G: GroupTable) -> Lattice:
             # table: when K lies inside it)
             mapped = masks[:, lift]
             mapped = mapped[mapped.sum(axis=1) * floor.order == masks.sum(axis=1)]
-            subs = [Subgroup._of_mask(G, row) for row in mapped]
+            subs = Subgroup._of_masks(G, mapped)
             G._lattice = _lattice_of(subgroup_conjugacy_classes(G, subs))
         else:
             all_subgroups(G)
@@ -938,6 +983,16 @@ def _packed_rows(masks: np.ndarray) -> list[bytes]:
     """One hashable key per row of a boolean mask array: its packed bytes."""
     packed = np.packbits(masks, axis=1)
     return packed.view(f"V{packed.shape[1]}").ravel().tolist()
+
+
+def _fresh_rows(keys: list[bytes], found: set[bytes]) -> list[int]:
+    """The first row of each key in `keys` that is not in `found`, in row
+    order."""
+    first: dict[bytes, int] = {}
+    for i, key in enumerate(keys):
+        if key not in found:
+            first.setdefault(key, i)
+    return list(first.values())
 
 
 def _conjugation_perms(G: GroupTable) -> np.ndarray:

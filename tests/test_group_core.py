@@ -646,6 +646,29 @@ class TestLattice:
             assert [s.elems for s in got.normal] == [s.elems for s in want.normal], label
 
 
+    @pytest.mark.parametrize("expr", ["psl3_2", "elemab 2 6"])
+    def test_batch_built_subgroups(self, expr):
+        """Lattice subgroups are built a block at a time: each mask is a row
+        view of one block and each element array a slice of one array. Every
+        one, on the table and on three of its largest subgroup tables
+        (whose lattices are taken from the table's), equals the checked
+        `Subgroup` of its elements and hashes the same, and its arrays are
+        read-only and C-contiguous. A base of the element array is
+        one-dimensional, so it holds no row indices as a strided view would."""
+        G = presets.build_group(expr)
+        tables = [G] + [gc.subgroup_as_group(G, H) for H in gc.lattice(G).subgroups[-4:-1]]
+        for X in tables:
+            for s in gc.lattice(X).subgroups:
+                t = gc.Subgroup(X, s.elems)
+                assert s == t and hash(s) == hash(t), s.elems
+                assert np.array_equal(s.mask, t.mask), s.elems
+                assert np.array_equal(s.elem_array, t.elem_array), s.elems
+                for arr in (s.mask, s.elem_array):
+                    assert not arr.flags.writeable and arr.flags.c_contiguous, s.elems
+                assert s.elem_array.dtype == np.int64
+                assert s.elem_array.base is None or s.elem_array.base.ndim == 1, s.elems
+
+
 class TestDerivedTables:
     """Subgroup and quotient tables are built without the group-axiom checks
     and their lattices without the closure check; the checks they skip
@@ -672,7 +695,7 @@ class TestDerivedTables:
         mask = np.zeros(s3.order, dtype=bool)
         mask[[0, 1]] = True  # 1 is a rotation of order 3
         with pytest.raises(ParameterError, match="not closed"):
-            gc.subgroup_as_group(s3, gc.Subgroup._of_mask(s3, mask))
+            gc.subgroup_as_group(s3, gc.Subgroup._of_masks(s3, mask[None, :])[0])
 
 
 class TestLatticeOracle:
@@ -705,6 +728,29 @@ class TestLatticeOracle:
         G = presets.build_group(expr)
         lat = gc.lattice(gc.GroupTable(G.mul))
         assert len(lat.normal) == len(lat.subgroups) == len(lat.classes)
+        assert_lattice_is_the_reference(lat, G, extend_every_subgroup(G), expr)
+
+    @pytest.mark.parametrize("expr", ["dp (dihedral 4) (elemab 2 2)",
+                                      "dp (dihedral 3) (elemab 2 2)"])
+    def test_mixed_stacks(self, monkeypatch, expr):
+        """Non-abelian groups in which one stack's new rows hold both normal
+        and non-normal subgroups, and a new key repeats within one stack. A
+        wrapper over `_fresh_rows` records each stack's keys and new rows,
+        to show that both occur."""
+        stacks = []
+
+        def recording(keys, found):
+            rows = real(keys, found)
+            stacks.append((keys, [keys[i] for i in rows]))
+            return rows
+
+        G = presets.build_group(expr)
+        real = gc._fresh_rows
+        monkeypatch.setattr(gc, "_fresh_rows", recording)
+        lat = gc.lattice(gc.GroupTable(G.mul))
+        normal = set(gc._packed_rows(np.array([s.mask for s in lat.normal])))
+        assert any({k in normal for k in fresh} == {True, False} for _, fresh in stacks)
+        assert any(keys.count(k) > 1 for keys, fresh in stacks for k in fresh)
         assert_lattice_is_the_reference(lat, G, extend_every_subgroup(G), expr)
 
     def test_a6_above_the_default_cap(self):

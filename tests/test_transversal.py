@@ -454,7 +454,8 @@ class TestOrbitRoute:
         # r permutes the three cosets of a reflection group in a 3-cycle, so the
         # sets {i, r i} that {1, r} gives overlap without being equal
         with pytest.raises(VerificationError, match="partition"):
-            tv.orbit_t_vector(G, subgroup_of_order(G, 2), gc.Subgroup._of_mask(G, mask))
+            tv.orbit_t_vector(G, subgroup_of_order(G, 2),
+                              gc.Subgroup._of_masks(G, mask[None, :])[0])
 
     def test_unequal_index_is_refused(self, zoo):
         G = zoo["s3"]
