@@ -25,7 +25,6 @@ from .group_core import (
     StructureReport,
     Subgroup,
     all_subgroups,
-    are_conjugate,
     classify_structure,
     cp_rtimes_c2n,
     cosets,
@@ -61,7 +60,6 @@ from .transversal import (
     p_from_tvector,
     p_g,
     permanent_ryser,
-    stochastic_form_checks,
     weight_matrix,
 )
 from .arith_nt import (

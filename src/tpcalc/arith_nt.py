@@ -288,22 +288,9 @@ def bound_constant_c() -> float:
     return (8.0 / 7.0) * math.exp(0.75 * log_f(4.0 / 3.0))
 
 
-def factorial_lower_bound(n: int) -> Fraction:
-    """Exact n!/n^n, the floor for any product of ratios with entries summing to n."""
-    return factorial_ratio(n) if n >= 1 else Fraction(1)
-
-
 def amgm_upper_bound(n: int, s: int) -> Fraction:
     """Exact ((n+s)/2n)^n, the AM-GM ceiling for s parts summing to n."""
     return Fraction(n + s, 2 * n) ** n
-
-
-def amgm_sandwich_holds(entries: Sequence[int]) -> bool:
-    """Exact check n!/n^n <= prod t!/t^t <= ((n+s)/2n)^n for one composition."""
-    n = sum(entries)
-    s = len(entries)
-    value = product_of_ratios(entries)
-    return factorial_lower_bound(n) <= value <= amgm_upper_bound(n, s)
 
 
 def prop_gamma_vs_amgm_holds(n: int, s: int) -> bool:

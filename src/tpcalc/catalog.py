@@ -227,10 +227,10 @@ def _graph_check(entry: CatalogEntry, G: GroupTable) -> list[TheoremVerdict]:
 
 
 def _bounds_check(entry: CatalogEntry, G: GroupTable) -> list[TheoremVerdict]:
-    # normal classes are left out: the sharp-window clauses are out of scope
+    # tp records only the non-normal classes
     rows = [(rec.subgroup.order, str(rec.p),
              bounds_of(rec.n, rec.s, rec.m, rec.p, normal_pair=False).all_hold)
-            for rec in tp(G).table if not rec.is_normal]
+            for rec in tp(G).table]
     return [TheoremVerdict("bounds-suite", entry.id, True, all(row[-1] for row in rows),
                            details={"subgroups": rows})]
 

@@ -16,7 +16,7 @@ from . import __version__
 from .arith_nt import (
     amgm_upper_bound,
     bound_constant_c,
-    factorial_lower_bound,
+    factorial_ratio,
     jensen_power_bound,
     prodpi_collision_scan,
     prop_gamma_vs_amgm_holds,
@@ -217,7 +217,7 @@ def cmd_nt(args) -> int:
     print(f"{'s':>4}  {'n!/n^n<=':>14}  {'((n+s)/2n)^n':>14}  {'f(n/s)^s':>14}  "
           f"{'gamma_vs_ams':>12}")
     for s in svals:
-        lower = float(factorial_lower_bound(n))
+        lower = float(factorial_ratio(n))
         upper = float(amgm_upper_bound(n, s))
         gamma = jensen_power_bound(n, s)
         within = prop_gamma_vs_amgm_holds(n, s) if 4 * s <= 3 * n else None

@@ -384,10 +384,6 @@ def trivial_subgroup(G: GroupTable) -> Subgroup:
     return Subgroup(G, (0,))
 
 
-def full_subgroup(G: GroupTable) -> Subgroup:
-    return Subgroup(G, tuple(range(G.order)))
-
-
 # ---------------------------------------------------------------------------
 # Named families
 # ---------------------------------------------------------------------------
@@ -1125,23 +1121,12 @@ def is_abelian_modulo(G: GroupTable, gens: Sequence[int], N: Subgroup | None = N
     return bool((comms == 0).all() if N is None else N.mask[comms].all())
 
 
-def _conjugators(G: GroupTable, H: Subgroup, K: Subgroup) -> np.ndarray:
-    """Boolean mask over G of the g with H^g = K. Conjugation is injective,
-    so H^g = K exactly when |H| = |K| and H^g lies inside K."""
-    if H.order != K.order:
-        return np.zeros(G.order, dtype=bool)
-    return K.mask[conjugates(G, H.elem_array)].all(axis=1)
-
-
-def are_conjugate(G: GroupTable, H: Subgroup, K: Subgroup) -> tuple[bool, int | None]:
-    """Whether H^g = K for some g; returns the minimal witness when true."""
-    found = np.flatnonzero(_conjugators(G, H, K))
-    return (True, int(found[0])) if found.size else (False, None)
-
-
 def conjugator_count(G: GroupTable, H: Subgroup, K: Subgroup) -> int:
-    """|{g in G : H^g = K}|."""
-    return int(np.count_nonzero(_conjugators(G, H, K)))
+    """|{g in G : H^g = K}|. Conjugation is injective, so H^g = K exactly
+    when |H| = |K| and H^g lies inside K."""
+    if H.order != K.order:
+        return 0
+    return int(np.count_nonzero(K.mask[conjugates(G, H.elem_array)].all(axis=1)))
 
 
 def subgroup_conjugacy_classes(G: GroupTable,

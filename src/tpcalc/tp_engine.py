@@ -3,11 +3,12 @@ plus machine checks of the structural theorems and value classifications.
 
 The minimum is taken over conjugacy-class representatives of the full subgroup
 lattice (inner automorphisms preserve P). A class of one subgroup is a normal
-subgroup, which gets P = 1; when every class is normal (G Dedekind) the
-minimum is 1. Every other class takes its t-vector from the orbits of H on
-G/H (`orbit_t_vector`). `verify_graph_invariants` checks each record against
-the class's coset graph. The scan order is deterministic, so results are
-reproducible bit for bit.
+subgroup, which has P = 1 and gets no record; when every class is normal (G
+Dedekind) the minimum is 1. Every other class takes its t-vector from the
+orbits of H on G/H (`orbit_t_vector`). `verify_graph_invariants` builds the
+coset graph of every class and checks it against the class's record, or
+against the all-ones t-vector of a normal class. The scan order is
+deterministic, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -50,14 +51,13 @@ TP_4_OVER_81 = Fraction(4, 81)
 
 @dataclass(frozen=True)
 class SubgroupClassRecord:
-    """P and context for one conjugacy class of subgroups, by the subgroup
-    that heads the class."""
+    """P and context for one class of conjugate non-normal subgroups, by the
+    subgroup that heads the class."""
 
     subgroup: Subgroup
     p: Fraction
     t_vector: tuple[int, ...]
     class_size: int
-    is_normal: bool
     # the cosets, the components (orbits) and the trivial ones
     n = property(lambda self: self.subgroup.index)
     s = property(lambda self: len(self.t_vector))
@@ -104,25 +104,20 @@ def _compute_tp(G: GroupTable) -> TpResult:
     lat = lattice(G)
     records = []
     for cls in lat.classes:
+        if len(cls) == 1:
+            continue  # normal: P = 1
         rep = cls[0]
-        normal = len(cls) == 1
-        if normal:
-            value = Fraction(1)
-            tvec = (1,) * rep.index
-        else:
-            tvec = orbit_t_vector(G, rep)
-            # the fixed cosets are N_G(H)/H, |N_G(H)| = |G|/|class|: so m < n, P < 1
-            if tvec.count(1) * len(cls) != rep.index:
-                raise VerificationError(f"H = <{','.join(map(str, rep.generators()))}>: "
-                                        f"{tvec.count(1)} fixed cosets, n/|class| = "
-                                        f"{rep.index}/{len(cls)}")
-            value = p_from_tvector(tvec)
+        tvec = orbit_t_vector(G, rep)
+        # the fixed cosets are N_G(H)/H, |N_G(H)| = |G|/|class|: so m < n, P < 1
+        if tvec.count(1) * len(cls) != rep.index:
+            raise VerificationError(f"H = <{','.join(map(str, rep.generators()))}>: "
+                                    f"{tvec.count(1)} fixed cosets, n/|class| = "
+                                    f"{rep.index}/{len(cls)}")
         records.append(SubgroupClassRecord(
-            subgroup=rep, p=value, t_vector=tvec, class_size=len(cls), is_normal=normal))
+            subgroup=rep, p=p_from_tvector(tvec), t_vector=tvec, class_size=len(cls)))
     # Dedekind (every subgroup normal): the minimum is 1, at the trivial subgroup
-    best = min((r.p for r in records if not r.is_normal), default=Fraction(1))
-    attaining = ([r.subgroup for r in records if not r.is_normal and r.p == best]
-                 or [trivial_subgroup(G)])
+    best = min((r.p for r in records), default=Fraction(1))
+    attaining = [r.subgroup for r in records if r.p == best] or [trivial_subgroup(G)]
     witnesses = tuple(s.generators() for s in
                       sorted(attaining, key=lambda s: (s.order, s.elems)))
     return TpResult(group_id="", tp=best, witnesses=witnesses,
@@ -320,8 +315,6 @@ def classify_special_values(G: GroupTable, group_id: str = "") -> list[TheoremVe
 
     place_hits, pair_hits = [], []
     for rec in result.table:
-        if rec.is_normal:
-            continue
         sub = rec.subgroup
         p_single = prime_of.get(rec.p)
         if p_single is not None:
@@ -444,16 +437,19 @@ def direct_extension_check(factors: Sequence[GroupTable], group_id: str = "",
 def verify_graph_invariants(G: GroupTable, group_id: str = "") -> TheoremVerdict:
     """Build the coset graph for one representative per subgroup class (all the
     component invariants are asserted inside the builder), require its
-    t-vector to be the one tp recorded from the orbit route, and check the
-    component-count bracket on each."""
+    t-vector to be the one tp recorded from the orbit route, or all ones for
+    a normal class, and check the component-count bracket on each."""
+    records = iter(tp(G).table)  # the non-normal classes, in class order
     details = []
-    for rec in tp(G).table:
-        rep = rec.subgroup
+    for cls in lattice(G).classes:
+        rep, normal = cls[0], len(cls) == 1
         graph = build_coset_graph(G, rep)
-        if graph.t_vector != rec.t_vector:
+        want = (1,) * rep.index if normal else next(records).t_vector
+        if graph.t_vector != want:
             raise VerificationError(
                 f"{group_id}: H = <{','.join(map(str, rep.generators()))}>: coset-graph "
-                f"t-vector {graph.t_vector} != orbit t-vector {rec.t_vector}")
+                f"t-vector {graph.t_vector} != {'normal' if normal else 'orbit'} "
+                f"t-vector {want}")
         sb = s_bounds_check(G, rep, graph=graph)
         details.append((rep.order, sb.s, str(sb.lower), str(sb.upper), sb.holds))
     return TheoremVerdict("graph-invariants", group_id, True,
@@ -483,10 +479,10 @@ def explore_cyclic_witness(G: GroupTable, group_id: str = "") -> TheoremVerdict:
     subgroup H with (H : core) <= p? Informative only."""
     result = tp(G)
     found = False
-    for rec in result.table:
-        if rec.p != result.tp:
-            continue
-        sub = rec.subgroup
+    # Dedekind: tp = 1 is attained at the trivial subgroup, which has no record
+    attaining = ([rec.subgroup for rec in result.table if rec.p == result.tp]
+                 or [trivial_subgroup(G)])
+    for sub in attaining:
         if not _is_cyclic_subgroup(G, sub):
             continue
         primes = prime_factors(sub.order) or [1]

@@ -93,23 +93,15 @@ def orbit_t_vector(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> tup
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """The n x n matrix of coset intersection sizes |l_i H  intersect  K r_j|.
-
-    For H = K the right cosets are labelled by the inverses of the left
-    representatives; that pairing is always a right transversal and makes the
-    matrix symmetric. (Reusing the left representatives verbatim fails both
-    properties for some groups.)
-    """
+    """The n x n matrix of coset intersection sizes |l_i H  intersect  K r_j|,
+    rows by left coset and columns by right coset in the order `cosets`
+    numbers them."""
 
     n: int
     entries: np.ndarray
-    left_reps: tuple[int, ...]
-    right_reps: tuple[int, ...]
-    matched: bool
 
 
 def weight_matrix(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> WeightMatrix:
-    matched = K is None or K.elems == H.elems
     if K is None:
         K = H
     if H.index != K.index:
@@ -118,19 +110,10 @@ def weight_matrix(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> Weig
     right = cosets(G, K, "right")
     n = H.index
     W = np.bincount(left.ids * n + right.ids, minlength=n * n).reshape(n, n)
-    rreps = right.reps
-    if matched:
-        inverses = G.inv[list(left.reps)]
-        rreps = tuple(inverses.tolist())
-        columns = right.ids[inverses]
-        if np.unique(columns).size != n:
-            raise VerificationError("right labels do not form a right transversal")
-        W = W[:, columns]
     if not ((W.sum(axis=1) == H.order).all() and (W.sum(axis=0) == H.order).all()):
         raise VerificationError("weight matrix rows/columns do not sum to |H|")
     W.setflags(write=False)
-    return WeightMatrix(n=n, entries=W, left_reps=left.reps, right_reps=rreps,
-                        matched=matched)
+    return WeightMatrix(n=n, entries=W)
 
 
 def permanent_ryser(M) -> int:
@@ -255,108 +238,6 @@ def dt_enumerate(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> int:
         before = masks[:, None]
         masks = (before + level)[before % span < level]
     return int(np.count_nonzero(masks[:, None] % spans[-1] < bits[-1]))
-
-
-# ---------------------------------------------------------------------------
-# Doubly stochastic form
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StochasticFormReport:
-    n: int
-    s: int
-    block_sizes: tuple[int, ...]
-    doubly_stochastic: bool
-    blocks_uniform: bool
-    idempotent: bool
-    trace: Fraction
-    rank: int
-    symmetric: bool | None
-
-    @property
-    def all_hold(self) -> bool:
-        spectral = (self.doubly_stochastic and self.blocks_uniform
-                    and self.idempotent and self.trace == self.s and self.rank == self.s)
-        return spectral and (self.symmetric is not False)
-
-
-def stochastic_form_checks(G: GroupTable, H: Subgroup,
-                           K: Subgroup | None = None) -> StochasticFormReport:
-    """Validate the doubly stochastic normalisation of the weight matrix: after
-    grouping rows/columns by graph component it is block diagonal with uniform
-    1/t blocks, idempotent, of trace and rank equal to the component count.
-    Symmetry of the unpermuted matrix is asserted only in the matched H = K
-    case (it can fail otherwise and is reported as None)."""
-    if K is None:
-        K = H
-    wm = weight_matrix(G, H, K)
-    graph = build_coset_graph(G, H, K)
-    n = wm.n
-    h = H.order
-    M = [[Fraction(int(wm.entries[i, j]), h) for j in range(n)] for i in range(n)]
-
-    left_pos = {rep: i for i, rep in enumerate(wm.left_reps)}
-    # column of the weight matrix labelled by each right coset
-    right_id = cosets(G, K, "right").ids
-    col_of_coset = np.empty(n, dtype=np.int64)
-    col_of_coset[right_id[list(wm.right_reps)]] = np.arange(n)
-    row_order, col_order, block_sizes = [], [], []
-    for comp in graph.components:
-        block_sizes.append(comp.t)
-        row_order += [left_pos[rep] for rep in comp.left_vertices]
-        col_order += [int(col_of_coset[right_id[rep]]) for rep in comp.right_vertices]
-    D = [[M[i][j] for j in col_order] for i in row_order]
-
-    spans = []
-    at = 0
-    for t in block_sizes:
-        spans.append((at, at + t))
-        at += t
-    blocks_uniform = all(
-        D[i][j] == (Fraction(1, a1 - a0) if bi == bj else Fraction(0))
-        for bi, (a0, a1) in enumerate(spans)
-        for bj, (b0, b1) in enumerate(spans)
-        for i in range(a0, a1) for j in range(b0, b1))
-
-    dd = _mat_mul(D, D)
-    idempotent = dd == D
-    trace = sum((D[i][i] for i in range(n)), Fraction(0))
-    rank = _exact_rank([row[:] for row in D])
-    doubly = (all(sum(row, Fraction(0)) == 1 for row in M)
-              and all(sum((M[i][j] for i in range(n)), Fraction(0)) == 1 for j in range(n)))
-    symmetric = None
-    if wm.matched:
-        symmetric = all(M[i][j] == M[j][i] for i in range(n) for j in range(n))
-    return StochasticFormReport(
-        n=n, s=graph.s, block_sizes=tuple(block_sizes), doubly_stochastic=doubly,
-        blocks_uniform=blocks_uniform, idempotent=idempotent, trace=trace,
-        rank=rank, symmetric=symmetric)
-
-
-def _mat_mul(A, B):
-    n = len(A)
-    return [[sum((A[i][k] * B[k][j] for k in range(n)), Fraction(0))
-             for j in range(n)] for i in range(n)]
-
-
-def _exact_rank(rows) -> int:
-    n = len(rows)
-    rank = 0
-    col = 0
-    while rank < n and col < n:
-        pivot = next((r for r in range(rank, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for r in range(rank + 1, n):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / lead
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------

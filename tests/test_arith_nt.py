@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpcalc import arith_nt as nt
+from tpcalc.transversal import bounds_of
 from tpcalc.errors import BudgetError, ParameterError, PreconditionError
 
 
@@ -234,16 +235,25 @@ class TestLogGamma:
             x += 0.5
 
 
+def sandwich_holds(entries) -> bool:
+    """n!/n^n <= (n-m)!/(n-m)^(n-m) <= prod t!/t^t <= ((n+s)/2n)^n for one
+    composition, as the bound suite evaluates it. All ones is the t-vector
+    of a normal pair H = K, the only pair with P = 1."""
+    return bounds_of(sum(entries), len(entries), entries.count(1),
+                     nt.product_of_ratios(entries),
+                     normal_pair=set(entries) == {1}).holds_factorial_sandwich
+
+
 class TestSandwichBounds:
     def test_fixed_compositions(self):
         for entries in [(1,), (2, 1), (3, 3, 3), (5, 4, 2, 1), (10, 10, 10)]:
-            assert nt.amgm_sandwich_holds(entries)
+            assert sandwich_holds(entries)
 
     @settings(deadline=None, max_examples=100, derandomize=True)
     @given(st.lists(st.integers(1, 30), min_size=1, max_size=10))
     def test_hypothesis_compositions(self, entries):
         if sum(entries) <= 30:
-            assert nt.amgm_sandwich_holds(entries)
+            assert sandwich_holds(entries)
 
     def test_five_hundred_random_compositions(self):
         import random
@@ -256,7 +266,7 @@ class TestSandwichBounds:
                 part = rng.randint(1, left)
                 entries.append(part)
                 left -= part
-            assert nt.amgm_sandwich_holds(entries), entries
+            assert sandwich_holds(entries), entries
 
     def test_gamma_vs_amgm_spot(self):
         assert nt.prop_gamma_vs_amgm_holds(12, 9)   # boundary s = 3n/4

@@ -24,6 +24,9 @@ from tpcalc.errors import LIMITS, FormatError, Limits, ParameterError, SizeLimit
 # sha256 of the builtin scan report's entries with every `millis` removed.
 # Speed work keeps it; a change to it is a change of an answer.
 BUILTIN_SCAN_DIGEST = "2dfd75e757769c559e9cfa80d1b2e8d4696b42ee47791581318f07e6cbfbb5ef"
+# the same for the builtin scan with only the exploratory checks
+# `tp-vs-cp,cyclic-witness`, which no default scan runs
+EXPLORATORY_SCAN_DIGEST = "331d125117e31900e2f60b0daf9b283203349aaea8fe77d01111fcff5592e7b4"
 
 
 def entries_digest(report: dict) -> str:
@@ -260,6 +263,11 @@ class TestScan:
                 held[verdict["theorem"]] += verdict["hypothesis_holds"]
         assert [t for t, k in held.items() if k == 0] == []
         assert entries_digest(report) == BUILTIN_SCAN_DIGEST
+
+    def test_builtin_catalog_exploratory_scan(self, catalog_entries):
+        report, ok = cat.scan_and_report(catalog_entries, checks=["tp-vs-cp", "cyclic-witness"])
+        assert ok and len(report["entries"]) == len(catalog_entries)
+        assert entries_digest(report) == EXPLORATORY_SCAN_DIGEST
 
     def test_each_check_family_runs_once_per_group(self, small_catalog, monkeypatch):
         calls = {"structure": Counter(), "classification": Counter()}

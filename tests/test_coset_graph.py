@@ -108,7 +108,7 @@ class TestBuildGraph:
 class TestDoubleCosets:
     def test_whole_group(self, zoo):
         s3 = zoo["s3"]
-        full = gc.full_subgroup(s3)
+        full = gc.Subgroup(s3, tuple(range(s3.order)))
         dcs = cg.double_cosets(s3, full, full)
         assert dcs.sizes == (6,)
 

@@ -41,22 +41,38 @@ class TestTp:
                 assert result.tp <= Fraction(1, 2), name
 
     def test_table_records_minimum(self, zoo):
-        result = te.tp(zoo["s4"])
-        assert result.table is not None
+        G = zoo["s4"]
+        result = te.tp(G)
         assert min(rec.p for rec in result.table) == result.tp
-        normals = [rec for rec in result.table if rec.is_normal]
-        assert all(rec.p == 1 for rec in normals)
+        normals = [cls[0] for cls in gc.lattice(G).classes if len(cls) == 1]
+        assert len(normals) == 4 and all(p_g(G, H) == 1 for H in normals)
 
     def test_records_hold_the_class_heads(self, zoo):
         for name, G in zoo.items():
             if G.order > 24:
                 continue
             table = te.tp(G).table
-            classes = gc.lattice(G).classes
+            classes = [cls for cls in gc.lattice(G).classes if len(cls) > 1]
             assert [rec.subgroup for rec in table] == [cls[0] for cls in classes], name
             for rec, cls in zip(table, classes):
                 assert rec.class_size == len(cls), name
                 assert p_g(G, rec.subgroup) == rec.p, (name, rec.subgroup.elems)
+
+    def test_records_are_the_non_normal_classes(self, zoo):
+        # normality comes from the lattice: a class of one is a normal
+        # subgroup, with P = 1 and no record
+        for name, G in zoo.items():
+            classes = gc.lattice(G).classes
+            heads = [rec.subgroup for rec in te.tp(G).table]
+            assert heads == [cls[0] for cls in classes if len(cls) > 1], name
+            for cls in classes:
+                if len(cls) == 1:
+                    assert p_g(G, cls[0]) == 1, (name, cls[0].elems)
+
+    def test_a_dedekind_group_has_no_records(self):
+        result = te.tp(gc.elementary_abelian(2, 6))
+        assert (result.tp, result.subgroup_count, result.table) == (1, 2825, ())
+        assert result.witnesses == ((),)  # the trivial subgroup
 
     def test_cap_holds_on_a_memo_hit(self):
         with using(Limits(order=4)), pytest.raises(SizeLimitError):
@@ -338,8 +354,6 @@ def full_prime_ratio_verdicts(G, group_id=""):
                  "pairs_checked": [p for p, _ in te._excluded_prime_pair_values(tp_g)]})]
     place_hits, pair_hits = [], []
     for rec in result.table:
-        if rec.is_normal:
-            continue
         sub = rec.subgroup
         p = single_prime_ratio(rec.p)
         if p is not None:
@@ -400,9 +414,9 @@ class TestCheckFamilyOracles:
         real_tp = te.tp
         for name, G in catalog_groups.items():
             result = real_tp(G)
-            for v in sorted({rec.p for rec in result.table if not rec.is_normal}):
+            for v in sorted({rec.p for rec in result.table}):
                 moved = dataclasses.replace(result, tp=v, table=tuple(
-                    rec for rec in result.table if rec.is_normal or rec.p >= v))
+                    rec for rec in result.table if rec.p >= v))
                 monkeypatch.setattr(te, "tp", lambda G, group_id="": moved)
                 assert _verdict_fields(te.classify_special_values(G, name)[2:]) \
                     == _verdict_fields(full_prime_ratio_verdicts(G, name)), (name, v)
@@ -412,7 +426,9 @@ class TestCheckFamilyOracles:
         # f(p) f(q) below tp(G), so none is left out of the maps
         for name, G in catalog_groups.items():
             result = te.tp(G)
-            assert all(rec.p >= result.tp for rec in result.table if not rec.is_normal), name
+            heads = [cls[0] for cls in gc.lattice(G).classes if len(cls) > 1]
+            assert [rec.subgroup for rec in result.table] == heads, name
+            assert all(rec.p >= result.tp for rec in result.table), name
 
 
 class TestOrbitRoute:
@@ -442,15 +458,15 @@ class TestOrbitRoute:
         checked = 0
         for G in catalog_groups.values():
             for rec in te.tp(G).table:
-                if not rec.is_normal:
-                    got = tv.bounds_of(rec.n, rec.s, rec.m, rec.p, normal_pair=False)
-                    assert got == tv.bounds_report(G, rec.subgroup)
-                    checked += 1
+                got = tv.bounds_of(rec.n, rec.s, rec.m, rec.p, normal_pair=False)
+                assert got == tv.bounds_report(G, rec.subgroup)
+                checked += 1
         assert checked >= 100
 
     def test_a_disagreement_names_the_group_h_and_both_vectors(self, monkeypatch):
         G = gc.dihedral(3)
-        rec = next(r for r in te.tp(G).table if not r.is_normal)
+        rec = te.tp(G).table[0]
+        assert rec.subgroup == next(cls[0] for cls in gc.lattice(G).classes if len(cls) > 1)
         graph = cg.build_coset_graph(G, rec.subgroup)
         planted = dataclasses.replace(graph, t_vector=graph.t_vector[:-1])
         build = cg.build_coset_graph
@@ -462,6 +478,40 @@ class TestOrbitRoute:
         gens = ",".join(map(str, rec.subgroup.generators()))
         assert "s3-planted" in message and f"H = <{gens}>" in message
         assert str(rec.t_vector) in message and str(planted.t_vector) in message
+
+    def test_a_wrong_normal_t_vector_names_the_group_and_h(self, monkeypatch):
+        # a normal class has no record: its graph is held to the all-ones vector
+        G = gc.dihedral(3)
+        H = next(cls[0] for cls in gc.lattice(G).classes
+                 if len(cls) == 1 and cls[0].order == 3)
+        graph = cg.build_coset_graph(G, H)
+        assert graph.t_vector == (1, 1)
+        planted = dataclasses.replace(graph, t_vector=(2,))
+        build = cg.build_coset_graph
+        monkeypatch.setattr(te, "build_coset_graph", lambda G, H_, K=None:
+                            planted if H_ == H else build(G, H_, K))
+        with pytest.raises(VerificationError) as err:
+            te.verify_graph_invariants(G, "s3-planted")
+        message = str(err.value)
+        assert "s3-planted" in message and f"H = <{','.join(map(str, H.generators()))}>" in message
+        assert "(1, 1)" in message and "(2,)" in message
+
+    def test_graph_invariants_builds_a_graph_for_every_class(self, zoo, monkeypatch):
+        G = zoo["s4"]
+        classes = gc.lattice(G).classes
+        assert {len(cls) == 1 for cls in classes} == {True, False}
+        built = []
+        build = cg.build_coset_graph
+
+        def counting(G, H, K=None):
+            built.append(H)
+            return build(G, H, K)
+
+        monkeypatch.setattr(te, "build_coset_graph", counting)
+        verdict = te.verify_graph_invariants(G)
+        assert built == [cls[0] for cls in classes]
+        assert len(verdict.details["per_class"]) == len(classes)
+        assert verdict.conclusion_holds
 
     def test_tp_asserts_orbit_stabiliser(self, monkeypatch):
         # every orbit of length 1 would make the reflection class normal
@@ -730,3 +780,9 @@ class TestExploratory:
         assert v.details["tp_le_cp"] is False
         v = te.explore_tp_vs_commuting(zoo["s3"], "s3")
         assert v.details["tp_le_cp"] is True
+
+    def test_a_dedekind_group_has_a_cyclic_witness(self, zoo):
+        # tp = 1 is attained at the trivial subgroup, which tp does not record
+        for name in ("trivial", "c12", "c2cube", "q8"):
+            v = te.explore_cyclic_witness(zoo[name], name)
+            assert v.details == {"tp": "1", "cyclic_witness_found": True}, name
