@@ -168,7 +168,12 @@ def cmd_verify(args) -> int:
     checks = resolve_checks([args.theorem])
     report, ok = scan_and_report(entries, checks=checks, out=args.report, fmt=args.format)
     for row in report["entries"]:
-        status = "skip" if "skipped" in row else ("ok" if row.get("consistent", True) else "FAIL")
+        if "skipped" in row:
+            status = "skip"
+        elif "error" in row:
+            status = "ERROR"
+        else:
+            status = "ok" if row.get("consistent", True) else "FAIL"
         print(f"{row['group']:>14}  {status}")
     print("ok" if ok else "INCONSISTENT")
     return EXIT_OK if ok else EXIT_VERIFICATION

@@ -8,6 +8,8 @@ Conventions, fixed once for the whole package:
 The tables of GroupTable and Subgroup are read-only arrays. Derived data
 (fingerprints, the subgroup lattice, the tp memo that only `tp_engine.tp`
 writes) is cached on first use and only ever replaced by an identical value.
+`cosets` memoises its last 8 numberings for the process, keyed by a weak
+reference to the table, so a freed table is never served.
 `lattice(G)` is the one place that finds the subgroups of a table, splits them
 into conjugacy classes and decides which are normal; every consumer reads
 that value. A fresh table gets all three from one pass of `all_subgroups`,
@@ -28,6 +30,8 @@ images under such a map skip `Subgroup`'s closure check the same way.
 
 from __future__ import annotations
 
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -40,6 +44,7 @@ from .errors import (
     FormatError,
     NormalityError,
     ParameterError,
+    PreconditionError,
     VerificationError,
     check_limit,
 )
@@ -1033,9 +1038,24 @@ class Cosets:
     reps: tuple[int, ...]  # ascending; reps[i] is the least element of coset i
 
 
+# most recent numberings `cosets` keeps; the routes to one P(G; H, K) ask for
+# at most four distinct ones, and consecutive pairs share some of them
+_COSET_MEMO_SIZE = 8
+_coset_memo: OrderedDict[tuple[weakref.ref, tuple[int, ...], str], Cosets] = OrderedDict()
+
+
 def cosets(G: GroupTable, H: Subgroup, side: str) -> Cosets:
     """The left cosets gH (side "left") or right cosets Hg (side "right"),
-    numbered by ascending minimal representative."""
+    numbered by ascending minimal representative. H must be a subgroup of G.
+    A repeated request is served from the memo the module docstring
+    describes."""
+    if H.parent is not G:
+        raise PreconditionError("the subgroup must belong to the given group")
+    key = (weakref.ref(G), H.elems, side)
+    found = _coset_memo.get(key)
+    if found is not None:
+        _coset_memo.move_to_end(key)
+        return found
     if side == "left":
         members = G.mul[:, H.elem_array]    # row g holds gH
     elif side == "right":
@@ -1046,7 +1066,10 @@ def cosets(G: GroupTable, H: Subgroup, side: str) -> Cosets:
     reps = np.unique(least)
     ids = np.searchsorted(reps, least)
     ids.setflags(write=False)
-    return Cosets(ids, tuple(reps.tolist()))
+    found = _coset_memo[key] = Cosets(ids, tuple(reps.tolist()))
+    if len(_coset_memo) > _COSET_MEMO_SIZE:
+        _coset_memo.popitem(last=False)
+    return found
 
 
 @dataclass(frozen=True)
@@ -1080,6 +1103,8 @@ def _least_in_double_coset(G: GroupTable, label: np.ndarray, K: Subgroup) -> np.
 def double_cosets(G: GroupTable, H: Subgroup, K: Subgroup) -> DoubleCosets:
     """The double cosets KgH, numbered by ascending minimal representative:
     the block of g is named by the least id of the left cosets in KgH."""
+    if K.parent is not G:  # K reaches no `cosets` call, which checks H
+        raise PreconditionError("the subgroup must belong to the given group")
     left = cosets(G, H, "left")
     least = _least_in_double_coset(G, left.ids, K)
     rep_ids = np.unique(least)

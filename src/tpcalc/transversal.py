@@ -72,6 +72,8 @@ def orbit_t_vector(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> tup
     with the graph route: no double cosets, no weight matrix, no conjugators."""
     if K is None:
         K = H
+    if K.parent is not G:  # K reaches no `cosets` call, which checks H
+        raise PreconditionError("subgroups must belong to the given group")
     if H.index != K.index:
         raise PreconditionError(
             f"subgroups must have equal index, got {H.index} and {K.index}")

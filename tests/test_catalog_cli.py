@@ -770,6 +770,15 @@ class TestCli:
         assert code == cli.EXIT_VERIFICATION
         assert "INCONSISTENT" in out
 
+    def test_verify_names_an_entry_that_raised(self, capsys, tmp_path):
+        path = tmp_path / "mini.tsv"
+        path.write_text("fine\tdihedral 3\nbroken\tcyclic 0\n")
+        code = cli.main(["verify", "expected-values", "--catalog", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == cli.EXIT_VERIFICATION
+        assert dict(line.split() for line in lines[:-1]) == {"fine": "ok", "broken": "ERROR"}
+        assert lines[-1] == "INCONSISTENT"
+
     def test_exit_code_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["tp"])  # missing group argument

@@ -1,4 +1,6 @@
 import itertools
+import weakref
+from gc import collect
 
 import numpy as np
 import pytest
@@ -826,6 +828,72 @@ class TestCosets:
     def test_bad_side_rejected(self, zoo):
         with pytest.raises(ParameterError):
             gc.cosets(zoo["s3"], gc.trivial_subgroup(zoo["s3"]), "middle")
+
+    def test_memo_serves_interleaved_routes(self, catalog_groups):
+        """The requests of the routes to P(G; H, K) over every same-order pair
+        of the builtin groups of order <= 24, in the order pair-oracle makes
+        them: graph, weight matrix, swapped graph, enumeration. Every answer,
+        memoised or not, is the oracle's, and the memo never outgrows its
+        bound."""
+        expected = {}
+
+        def check(G, H, side):
+            got = gc.cosets(G, H, side)
+            key = (id(G), H.elems, side)
+            if key not in expected:
+                want = naive_cosets(G, H, side)
+                ids = np.empty(G.order, dtype=np.intp)
+                for i, block in enumerate(want):
+                    ids[list(block)] = i
+                expected[key] = (ids, tuple(min(b) for b in want))
+            ids, reps = expected[key]
+            assert got.reps == reps and np.array_equal(got.ids, ids), (G.provenance, key)
+            assert len(gc._coset_memo) <= gc._COSET_MEMO_SIZE
+            return got
+
+        served = []
+        for G in catalog_groups.values():
+            if G.order > 24:
+                continue
+            by_order = {}
+            for s in gc.all_subgroups(G):
+                by_order.setdefault(s.order, []).append(s)
+            for bucket in by_order.values():
+                for i, H in enumerate(bucket):
+                    for K in bucket[i:]:
+                        for A, B in ((H, K), (H, K), (K, H), (H, K)):
+                            served += [check(G, A, "left"), check(G, B, "right")]
+        assert len({id(c) for c in served}) < len(served) / 2  # most are memo hits
+
+    def test_memo_never_serves_a_freed_table(self):
+        mul = presets.symmetric_4().mul.copy()
+        G = gc.GroupTable(mul)
+        H = next(s for s in gc.all_subgroups(G) if not gc.is_normal_subgroup(G, s))
+        elems = H.elems
+        gc.cosets(G, H, "left")
+        table = weakref.ref(G)
+        del G, H
+        collect()
+        assert table() is None
+        # x*y = yx is a group on the same elements with the same subgroups,
+        # whose left cosets are the right cosets of the original; for a
+        # non-normal subgroup the two partitions differ
+        opposite = gc.GroupTable(mul.T)
+        H = gc.Subgroup(opposite, elems)
+        got = gc.cosets(opposite, H, "left")
+        want = naive_cosets(opposite, H, "left")
+        assert want != naive_cosets(opposite, H, "right")
+        assert got.reps == tuple(min(b) for b in want)
+        for i, block in enumerate(want):
+            assert all(got.ids[x] == i for x in block)
+
+    def test_memo_holds_at_most_its_bound(self, zoo):
+        G = zoo["s4"]
+        for H in gc.all_subgroups(G):
+            for side in ("left", "right"):
+                gc.cosets(G, H, side)
+                assert len(gc._coset_memo) <= gc._COSET_MEMO_SIZE
+        assert len(gc._coset_memo) == gc._COSET_MEMO_SIZE
 
 
 class TestRelations:

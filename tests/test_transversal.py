@@ -433,6 +433,42 @@ class TestIndependentRoutes:
                 assert prime_closed_form(G, H) == want
 
 
+class TestSubgroupOfAnotherTable:
+    """S4 and a copy with its non-identity elements relabelled: (0, 2) is a
+    subgroup of order 2 of the copy but no subgroup of S4, where it used to
+    give a count of 0 or a raw numpy error."""
+
+    ROUTES = (cg.build_coset_graph, tv.p_g, tv.orbit_t_vector, tv.weight_matrix,
+              tv.dt_enumerate)
+
+    @staticmethod
+    def s4_and_copy():
+        G = presets.symmetric_4()
+        perm = np.concatenate([[0], 1 + np.random.default_rng(3).permutation(G.order - 1)])
+        mul = np.empty_like(G.mul)
+        mul[np.ix_(perm, perm)] = perm[G.mul]
+        foreign = gc.Subgroup(gc.GroupTable(mul), (0, 2))
+        with pytest.raises(ParameterError):
+            gc.Subgroup(G, (0, 2))
+        return G, subgroup_of_order(G, 2), foreign
+
+    def test_cosets_refuse_it(self):
+        G, own, foreign = self.s4_and_copy()
+        for side in ("left", "right"):
+            with pytest.raises(PreconditionError):
+                gc.cosets(G, foreign, side)
+        for H, K in ((foreign, foreign), (foreign, own), (own, foreign)):
+            with pytest.raises(PreconditionError):
+                gc.double_cosets(G, H, K)
+
+    @pytest.mark.parametrize("route", ROUTES, ids=lambda f: f.__name__)
+    def test_every_route_refuses_it(self, route):
+        G, own, foreign = self.s4_and_copy()
+        for args in ((foreign,), (foreign, own), (own, foreign)):
+            with pytest.raises(PreconditionError, match="belong to the given group"):
+                route(G, *args)
+
+
 class TestOrbitRoute:
     @settings(deadline=None, max_examples=80, derandomize=True)
     @given(data=st.data())
