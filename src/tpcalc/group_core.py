@@ -12,13 +12,18 @@ writes) is cached on first use and only ever replaced by an identical value.
 reference to the table, so a freed table is never served.
 `lattice(G)` is the one place that finds the subgroups of a table, splits them
 into conjugacy classes and decides which are normal; every consumer reads
-that value. A fresh table gets all three from one pass of `all_subgroups`,
-which registers each new subgroup's whole conjugacy class when it first finds
-it and extends only that first member: a normal one by its cosets, in stacks
-of one order, and any other by a batched breadth-first search. A table built
-from another one by `subgroup_as_group` or `quotient_group` records its
-source, and once the source's lattice is built it takes its subgroups from
-there by the correspondence theorem instead of enumerating them again; it
+that value. A `Lattice` is one read-only stack of subgroup masks in the
+canonical (order, elems) order, with each row's order and class label, and
+its subgroups, classes and normal subgroups are built from that stack. A
+fresh table gets all of it from one pass of `all_subgroups`, which registers
+each new subgroup's whole conjugacy class when it first finds it and extends
+only that first member: a normal one by its cosets, in stacks of one order,
+and any other by a batched breadth-first search. The pass keeps packed masks
+and class labels, builds no `Subgroup` until it ends, and checks its result
+against two classical counts. A table built from another one by
+`subgroup_as_group` or `quotient_group` records its source, and once the
+source's lattice is built it takes its subgroups from the source's mask
+stack by the correspondence theorem instead of enumerating them again; it
 splits them with the same orbit walk on subgroup masks.
 
 Only tables given from outside are validated. A subgroup or quotient table is
@@ -51,7 +56,8 @@ from .errors import (
 
 # mask cells (rows x group order) that `all_subgroups` grows in one batch
 GROW_CELLS = 8192
-# table cells that `_check_associativity` compares in one column block
+# table cells that `_check_associativity` and `is_abelian_subgroup` compare in
+# one column block
 _ASSOCIATIVITY_CELLS = 1 << 22
 
 
@@ -314,12 +320,13 @@ class Subgroup:
         `block.nonzero()[1]` would be a strided view that also keeps the row
         indices alive. A block of one row shares nothing, and views would
         keep two more array objects alive for its one subgroup, so that
-        subgroup gets the arrays themselves; most blocks of a small group's
-        lattice have one row."""
+        subgroup gets the arrays themselves. The element tuples share one
+        Python int per element index, which past index 256 (Python's cached
+        small ints) saves an int object per element of every subgroup."""
         n = block.shape[1]
         flat = np.flatnonzero(block) % n
         flat.setflags(write=False)
-        elems = flat.tolist()
+        elems = np.arange(n).astype(object)[flat].tolist()
         # each row's elements start at its identity 0
         cuts = np.flatnonzero(flat == 0).tolist() + [len(elems)]
         if len(block) == 1:
@@ -779,8 +786,7 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
     cosets are its cosets, so the least coset representatives serve as r,
     and <H, r> = H<r>, the union of the cosets r^k*H (`_normal_extensions`).
     The work list keeps normal subgroups apart by order, and a stack of them
-    of one order, about GROW_CELLS cells, is extended in one step. G itself
-    is not extended.
+    of one order is extended in one step. G itself is not extended.
 
     The extensions of several other work-list subgroups grow in one batched
     search of at most about GROW_CELLS mask cells: row i of a `(rows, n)`
@@ -793,33 +799,38 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
     One pass over the rows' packed bytes keeps the first row of each key not
     registered yet (`_fresh_rows`). One comparison of those rows against
     their images under every conjugation permutation finds the classes of
-    one, and their subgroups are built together from one block
-    (`Subgroup._of_masks`) and go to the normal work list. Each other row,
-    in stack order, registers its whole class by the orbit walk, unless an
-    earlier row's class already holds it.
+    one, which go to the normal work list. Each other row, in stack order,
+    registers its whole class by the orbit walk, unless an earlier row's
+    class already holds it.
 
-    The pass also yields the conjugacy classes, so it stores G's lattice when
-    none is memoised yet; `lattice` reads it from there.
+    The pass builds no `Subgroup` until it ends. It keeps each registered
+    subgroup as its packed mask, the key it is found by, with a class label,
+    and each work-list entry as an element array with its generators. At the
+    end one sort puts the packed masks in the canonical order
+    (`_canonical_order`), they are unpacked into one read-only mask stack,
+    and `_lattice_of` builds every subgroup from it. The lattice is checked
+    against two counting identities (`_check_counts`), and stored as G's
+    when none is memoised yet; `lattice` reads it from there.
     """
     check_limit(G.order, "order")
     n = G.order
     perms = _conjugation_perms(G)
-    found: set[bytes] = set()  # the packed masks of the registered subgroups
-    classes: list[list[Subgroup]] = []
-    work: list[tuple[Subgroup, tuple[int, ...]]] = []  # (H, generators of H)
-    normal: dict[int, list[tuple[Subgroup, tuple[int, ...]]]] = {}  # the same, by order
+    # the packed mask of each registered subgroup, and its class's label
+    found: dict[bytes, int] = {}
+    class_orders: list[int] = []  # by label
+    work: list[tuple[np.ndarray, tuple[int, ...]]] = []  # (elements of H, generators of H)
+    normal: dict[int, list[tuple[np.ndarray, tuple[int, ...]]]] = {}  # the same, by order
     # the elements known to generate a registered cyclic subgroup
     generates_found = np.zeros(n, dtype=bool)
 
     def register(mask: np.ndarray, key: bytes, gens: tuple[int, ...]) -> np.ndarray:
         keys, masks = _conjugacy_class(perms, mask, key)
-        members = Subgroup._of_masks(G, masks)
-        found.update(keys)
-        classes.append(members)
-        order = members[0].order
-        if 1 < order < n:
-            pending = normal.setdefault(order, []) if len(members) == 1 else work
-            pending.append((members[0], gens))
+        found.update(dict.fromkeys(keys, len(class_orders)))
+        elems = np.flatnonzero(mask)
+        class_orders.append(elems.size)
+        if 1 < elems.size < n:
+            pending = normal.setdefault(elems.size, []) if len(keys) == 1 else work
+            pending.append((elems, gens))
         return masks
 
     for x in range(n):
@@ -837,35 +848,40 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
             # pending normal subgroups of the greatest order, as many as fit
             order = max(normal)
             stack = normal[order]
-            # cells of one H's coset gather (n*|H|) or of its masks (< n*n/|H|)
-            step = n * max(order, n // order)
-            while stack and cells < GROW_CELLS:
+            # the bytes one H allocates: its int32 coset gather and coset
+            # labels (n*|H| + n cells), or its fewer than n/|H| extension
+            # rows, each n mask bytes and, per element of H, an int64 and an
+            # int32 index to mark a coset. A stack gets 12*GROW_CELLS bytes;
+            # a larger budget is faster but raises the benchmark's peak RSS
+            # (ROADMAP, measured dead ends).
+            step = n * max(4 * order + 4, n // order + 12)
+            while stack and cells < 12 * GROW_CELLS:
                 batch.append(stack.pop())
                 cells += step
             if not stack:
                 del normal[order]
             owner, reps, reached = _normal_extensions(
-                G.mul, np.array([H.elem_array for H, _ in batch]))
+                G.mul, np.array([elems for elems, _ in batch]))
         else:
             while work and cells < GROW_CELLS:
-                H, gens = work.pop()
-                least = G.mul[:, H.elem_array].min(axis=1)  # entry g: least of gH
+                elems, gens = work.pop()
+                least = G.mul[:, elems].min(axis=1)  # entry g: least of gH
                 # the least element of each (H,H)-double coset; 0 is H's own
-                reps = np.flatnonzero(_least_in_double_coset(G, least, H) == idx)[1:]
-                batch.append((H, gens, reps))
+                reps = np.flatnonzero(_least_in_double_coset(G, least, elems) == idx)[1:]
+                batch.append((elems, gens, reps))
                 cells += reps.size * n
             rows = cells // n
-            width = max(H.order for H, _, _ in batch)
-            reached = np.empty((rows, n), dtype=bool)
+            width = max(elems.size for elems, _, _ in batch)
+            reached = np.zeros((rows, n), dtype=bool)
             frontier = np.empty((rows, width), dtype=np.intp)
             row_gens = np.zeros((rows, max(len(gens) for _, gens, _ in batch) + 1),
                                 dtype=np.intp)
             start = 0
-            for H, gens, reps in batch:
+            for elems, gens, reps in batch:
                 block = slice(start, start + reps.size)
-                reached[block] = H.mask
-                frontier[block, :H.order] = G.mul[H.elem_array[None, :], reps[:, None]]
-                frontier[block, H.order:] = reps[:, None]  # r = 0*r lies in H*r
+                reached[block, elems] = True
+                frontier[block, :elems.size] = G.mul[elems[None, :], reps[:, None]]
+                frontier[block, elems.size:] = reps[:, None]  # r = 0*r lies in H*r
                 row_gens[block, :len(gens)] = gens
                 row_gens[block, len(gens)] = reps
                 start += reps.size
@@ -883,16 +899,39 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
         # a row is a class of one when every conjugation permutation fixes it
         alone = (new[:, perms] == new[:, None, :]).all(axis=(1, 2))
         gens = [batch[j][1] + (r,) for j, r in zip(owner[rows].tolist(), reps[rows].tolist())]
-        for i, H in zip(np.flatnonzero(alone).tolist(), Subgroup._of_masks(G, new[alone])):
-            found.add(keys[i])
-            classes.append([H])
-            if H.order < n:
-                normal.setdefault(H.order, []).append((H, gens[i]))
+        sizes = np.count_nonzero(new, axis=1).tolist()
+        # the elements of every class of one, row after row
+        flat = np.flatnonzero(new[alone]) % n
+        start = 0
+        for i in np.flatnonzero(alone).tolist():
+            found[keys[i]] = len(class_orders)
+            class_orders.append(sizes[i])
+            if sizes[i] < n:
+                normal.setdefault(sizes[i], []).append((flat[start:start + sizes[i]], gens[i]))
+            start += sizes[i]
         # a later row may be a conjugate of an earlier one
         for i in np.flatnonzero(~alone).tolist():
             if keys[i] not in found:
                 register(new[i], keys[i], gens[i])
-    lat = _lattice_of(classes)
+    packed = np.frombuffer(b"".join(found), dtype=np.uint8).reshape(len(found), -1)
+    labels = np.fromiter(found.values(), dtype=np.intp, count=len(found))
+    found.clear()
+    orders = np.array(class_orders)[labels]
+    rows = _canonical_order(packed, orders)
+    masks = np.unpackbits(packed[rows], axis=1, count=n).view(bool)
+    del packed
+    orders, labels = orders[rows], labels[rows]
+    subs = Subgroup._of_masks(G, masks)
+    members: dict[int, list[Subgroup]] = {}  # by label, each in canonical order
+    for s, label in zip(subs, labels.tolist()):
+        members.setdefault(label, []).append(s)
+    # the classes in canonical order, by the element tuples of their heads
+    heads = sorted(members, key=lambda label: members[label][0].elems)
+    rank = np.empty(len(heads), dtype=np.intp)
+    rank[heads] = np.arange(len(heads))
+    lat = _lattice_of(masks, orders, subs, rank[labels],
+                      [tuple(members.pop(label)) for label in heads])
+    _check_counts(G, masks, orders)
     if G._lattice is None:
         G._lattice = lat
     return list(lat.subgroups)
@@ -906,37 +945,37 @@ def _normal_extensions(mul: np.ndarray, elems: np.ndarray) -> tuple[np.ndarray, 
     the row j of its H, its r, and the `(extensions, n)` masks.
 
     For normal H, r^k*H = H*r^k, so the union of the cosets r^k*H over k
-    below the order of rH is closed under products: it is <H, r>. An element
-    x lies in it exactly when its coset xH is one of those, so each row marks
-    the least elements of the cosets r^k*H (a walk along the powers of r
-    until one falls in H) and reads its mask off every element's coset.
+    below the order of rH is closed under products: it is <H, r>. So each
+    row marks the elements of the cosets r^k*H, walking along the powers of
+    r from r^0 = 1 until one falls in H.
     """
     n = mul.shape[0]
     # least[j, g]: the least element of the coset g*H_j
     least = mul[:, elems].min(axis=2).T
     owner, reps = np.nonzero(least == np.arange(n))
     owner, reps = owner[reps != 0], reps[reps != 0]
-    marked = np.zeros((reps.size, n), dtype=bool)  # row i: cosets of <H, r_i>
-    marked[:, 0] = True
-    rows, power, label = np.arange(reps.size), reps, least[owner, reps]
+    masks = np.zeros((reps.size, n), dtype=bool)
+    rows, power = np.arange(reps.size), np.zeros_like(reps)
     while rows.size:
-        marked[rows, label] = True
+        masks[rows[:, None], mul[power[:, None], elems[owner[rows]]]] = True
         power = mul[power, reps[rows]]
-        label = least[owner[rows], power]
-        more = label != 0
-        rows, power, label = rows[more], power[more], label[more]
-    # row i of the masks is row i of marked read at every element's label
-    at = least[owner] + np.arange(0, marked.size, n)[:, None]
-    return owner, reps, marked.ravel()[at]
+        more = least[owner[rows], power] != 0
+        rows, power = rows[more], power[more]
+    return owner, reps, masks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lattice:
-    """Every subgroup of one table, split into conjugacy classes."""
+    """Every subgroup of one table, split into conjugacy classes. The
+    subgroups are built from the one mask stack `masks`: subgroup i's mask
+    is row i of it."""
 
     subgroups: tuple[Subgroup, ...]            # sorted by (order, elems)
     classes: tuple[tuple[Subgroup, ...], ...]  # as subgroup_conjugacy_classes
     normal: tuple[Subgroup, ...]               # one-member classes, as subgroups
+    masks: np.ndarray   # (subgroups, n) read-only booleans, in the order of `subgroups`
+    orders: np.ndarray  # the order of each subgroup
+    labels: np.ndarray  # the index in `classes` of each subgroup's class
 
 
 def lattice(G: GroupTable) -> Lattice:
@@ -944,40 +983,105 @@ def lattice(G: GroupTable) -> Lattice:
     checked on every call, so a memoised lattice obeys it too.
 
     A table whose source parent already has its lattice takes its subgroups
-    from the parent's by the correspondence theorem: the subgroups of H are
-    those of G inside H, and the subgroups of G/N are the images of the K of
-    G that contain N, each the image of exactly one such K. Those are split
-    into classes by `subgroup_conjugacy_classes`. Every other table runs
-    `all_subgroups`, whose one pass finds the subgroups and their classes
-    together and stores the lattice."""
+    from the parent's mask stack by the correspondence theorem: the subgroups
+    of H are those of G inside H, and the subgroups of G/N are the images of
+    the K of G that contain N, each the image of exactly one such K. Those
+    are split into classes by `subgroup_conjugacy_classes`. Every other table
+    runs `all_subgroups`, whose one pass finds the subgroups and their
+    classes together and stores the lattice."""
     check_limit(G.order, "order")
     if G._lattice is None:
         if G._source is not None and G._source[0]._lattice is not None:
             parent, lift, floor = G._source
-            masks = np.array([K.mask for K in parent._lattice.subgroups])
-            masks = masks[masks[:, floor.elem_array].all(axis=1)]
+            above = parent._lattice.masks[:, floor.elem_array].all(axis=1)
             # a K over the floor is a union of its cosets, so row K of mapped
             # marks the cosets lift[i]*floor inside K; K is the preimage of
             # that row's subgroup when they make up all of K (for a subgroup
             # table: when K lies inside it)
-            mapped = masks[:, lift]
-            mapped = mapped[mapped.sum(axis=1) * floor.order == masks.sum(axis=1)]
-            subs = Subgroup._of_masks(G, mapped)
-            G._lattice = _lattice_of(subgroup_conjugacy_classes(G, subs))
+            mapped = parent._lattice.masks[np.ix_(above, lift)]
+            orders = np.count_nonzero(mapped, axis=1)
+            keep = orders * floor.order == parent._lattice.orders[above]
+            mapped, orders = mapped[keep], orders[keep]
+            rows = _canonical_order(np.packbits(mapped, axis=1), orders)
+            masks = mapped[rows]
+            subs = Subgroup._of_masks(G, masks)
+            classes = subgroup_conjugacy_classes(G, subs)
+            label_of = {id(s): label for label, cls in enumerate(classes) for s in cls}
+            labels = np.array([label_of[id(s)] for s in subs], dtype=np.intp)
+            G._lattice = _lattice_of(masks, orders[rows], subs, labels, list(classes))
         else:
             all_subgroups(G)
     return G._lattice
 
 
-def _lattice_of(classes: Iterable[Sequence[Subgroup]]) -> Lattice:
-    """The lattice with these conjugacy classes, in the canonical order: each
-    class sorted by element tuple, the classes by their first member, and the
-    subgroups by (order, element tuple)."""
-    classes = sorted((tuple(sorted(c, key=lambda s: s.elems)) for c in classes),
-                     key=lambda c: c[0].elems)
-    subs = tuple(sorted((s for c in classes for s in c), key=lambda s: (s.order, s.elems)))
-    alone = {c[0] for c in classes if len(c) == 1}
-    return Lattice(subs, tuple(classes), tuple(s for s in subs if s in alone))
+def _lattice_of(masks: np.ndarray, orders: np.ndarray, subs: list[Subgroup],
+                labels: np.ndarray, classes: list[tuple[Subgroup, ...]]) -> Lattice:
+    """The lattice of the subgroups `subs`, built from the rows of `masks`,
+    with their orders, and with their conjugacy classes labelled by index in
+    `classes`. Everything is in the canonical order: the subgroups by (order,
+    element tuple), each class by element tuple, the classes by their first
+    member."""
+    alone = np.bincount(labels, minlength=len(classes))[labels] == 1
+    for arr in (masks, orders, labels):
+        arr.setflags(write=False)
+    return Lattice(tuple(subs), tuple(classes),
+                   tuple(s for s, one in zip(subs, alone.tolist()) if one),
+                   masks, orders, labels)
+
+
+def _canonical_order(packed: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """The row order that sorts subgroups by (order, element tuple), from
+    their masks packed by `np.packbits` (first element in the high bit).
+
+    Of two sets of one size, the one holding the least element of their
+    difference has the smaller tuple and the greater packed bytes, so within
+    one order ascending tuples are descending bytes. One byte-string key per
+    row, the order in four big-endian bytes and then the complemented packed
+    mask, therefore sorts every row at once."""
+    rows, width = packed.shape
+    key = np.empty((rows, 4 + width), dtype=np.uint8)
+    key[:, :4] = orders.astype(">u4")[:, None].view(np.uint8)
+    np.invert(packed, out=key[:, 4:])
+    return np.argsort(key.view(f"V{4 + width}").ravel())
+
+
+def _check_counts(G: GroupTable, masks: np.ndarray, orders: np.ndarray) -> None:
+    """Two classical counts that every complete subgroup list meets, checked
+    on the canonical mask stack and orders of G's lattice:
+
+      (i)  the cyclic subgroups of order d number the elements of order d
+           divided by phi(d), since each is <x> for exactly phi(d) such x;
+      (ii) for each prime power p^k dividing |G|, the subgroups of order p^k
+           number 1 mod p (Frobenius 1895).
+
+    A subgroup of order d is cyclic exactly when it holds an element of order
+    d. A missing class of subgroups breaks (i) when it is cyclic, and (ii)
+    when its order is p^k and its size is prime to p. Any other missing class
+    escapes both: a non-cyclic class whose order is no prime power, or whose
+    size p divides. Raises VerificationError naming the group order, the
+    identity and d or p^k."""
+    n = G.order
+    count = np.bincount(orders, minlength=n + 1)
+    ends = np.cumsum(count)
+    with_order = np.bincount(G.element_orders, minlength=n + 1)
+    for d in np.flatnonzero(with_order).tolist():
+        rows = masks[ends[d] - count[d]:ends[d]]
+        cyclic = int(np.count_nonzero(rows[:, G.element_orders == d].any(axis=1)))
+        phi = d
+        for p in prime_factors(d):
+            phi = phi // p * (p - 1)
+        if cyclic * phi != with_order[d]:
+            raise VerificationError(
+                f"group of order {n}: {cyclic} cyclic subgroups of order {d}, but "
+                f"{with_order[d]} elements of order {d} make {with_order[d] // phi}")
+    for p in prime_factors(n):
+        q = p
+        while n % q == 0:
+            if count[q] % p != 1:
+                raise VerificationError(
+                    f"group of order {n}: {count[q]} subgroups of order {q}, "
+                    f"not 1 mod {p} (Frobenius)")
+            q *= p
 
 
 def _packed_rows(masks: np.ndarray) -> list[bytes]:
@@ -1091,13 +1195,13 @@ class DoubleCosets:
         return tuple(np.bincount(self.block_of).tolist())
 
 
-def _least_in_double_coset(G: GroupTable, label: np.ndarray, K: Subgroup) -> np.ndarray:
+def _least_in_double_coset(G: GroupTable, label: np.ndarray, K: np.ndarray) -> np.ndarray:
     """Entry g is the least label of the left cosets kgH that make up KgH,
-    where label[x] names xH and orders the left cosets as their least
-    elements do (the least element itself, or the id from `cosets`). With
-    least elements as labels, the g equal to their entry are the minimal
-    representatives."""
-    return label[G.mul[K.elem_array, :]].min(axis=0)
+    for K given by its element array, where label[x] names xH and orders the
+    left cosets as their least elements do (the least element itself, or the
+    id from `cosets`). With least elements as labels, the g equal to their
+    entry are the minimal representatives."""
+    return label[G.mul[K, :]].min(axis=0)
 
 
 def double_cosets(G: GroupTable, H: Subgroup, K: Subgroup) -> DoubleCosets:
@@ -1106,7 +1210,7 @@ def double_cosets(G: GroupTable, H: Subgroup, K: Subgroup) -> DoubleCosets:
     if K.parent is not G:  # K reaches no `cosets` call, which checks H
         raise PreconditionError("the subgroup must belong to the given group")
     left = cosets(G, H, "left")
-    least = _least_in_double_coset(G, left.ids, K)
+    least = _least_in_double_coset(G, left.ids, K.elem_array)
     rep_ids = np.unique(least)
     block_of = np.searchsorted(rep_ids, least)
     block_of.setflags(write=False)
@@ -1134,6 +1238,19 @@ def subgroup_relations(G: GroupTable, H: Subgroup) -> SubgroupRelations:
 
 def is_normal_subgroup(G: GroupTable, H: Subgroup) -> bool:
     return bool(H.mask[conjugates(G, H.elem_array, G.minimal_generators)].all())
+
+
+def is_abelian_subgroup(G: GroupTable, H: Subgroup) -> bool:
+    """Whether H is abelian: its table, G's rows and columns at H's
+    elements, is symmetric. It is compared in column blocks of about
+    `_ASSOCIATIVITY_CELLS` cells, so a large H needs no |H|^2 array."""
+    elems = H.elem_array
+    width = max(1, _ASSOCIATIVITY_CELLS // elems.size)
+    for c in range(0, elems.size, width):
+        cols = elems[c:c + width]
+        if not np.array_equal(G.mul[elems[:, None], cols], G.mul[cols[:, None], elems].T):
+            return False
+    return True
 
 
 def is_abelian_modulo(G: GroupTable, gens: Sequence[int], N: Subgroup | None = None) -> bool:

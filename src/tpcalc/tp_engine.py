@@ -33,6 +33,7 @@ from .group_core import (
     direct_product,
     has_section,
     is_abelian_modulo,
+    is_abelian_subgroup,
     is_isomorphic,
     lattice,
     quotient_group,
@@ -102,26 +103,26 @@ def tp(G: GroupTable, group_id: str = "") -> TpResult:
 
 def _compute_tp(G: GroupTable) -> TpResult:
     lat = lattice(G)
+    sizes = np.bincount(lat.labels)
     records = []
-    for cls in lat.classes:
-        if len(cls) == 1:
-            continue  # normal: P = 1
-        rep = cls[0]
+    # a class of one is a normal subgroup, with P = 1
+    for label in np.flatnonzero(sizes > 1).tolist():
+        rep, size = lat.classes[label][0], int(sizes[label])
         tvec = orbit_t_vector(G, rep)
         # the fixed cosets are N_G(H)/H, |N_G(H)| = |G|/|class|: so m < n, P < 1
-        if tvec.count(1) * len(cls) != rep.index:
+        if tvec.count(1) * size != rep.index:
             raise VerificationError(f"H = <{','.join(map(str, rep.generators()))}>: "
                                     f"{tvec.count(1)} fixed cosets, n/|class| = "
-                                    f"{rep.index}/{len(cls)}")
+                                    f"{rep.index}/{size}")
         records.append(SubgroupClassRecord(
-            subgroup=rep, p=p_from_tvector(tvec), t_vector=tvec, class_size=len(cls)))
+            subgroup=rep, p=p_from_tvector(tvec), t_vector=tvec, class_size=size))
     # Dedekind (every subgroup normal): the minimum is 1, at the trivial subgroup
     best = min((r.p for r in records), default=Fraction(1))
     attaining = [r.subgroup for r in records if r.p == best] or [trivial_subgroup(G)]
     witnesses = tuple(s.generators() for s in
                       sorted(attaining, key=lambda s: (s.order, s.elems)))
     return TpResult(group_id="", tp=best, witnesses=witnesses,
-                    subgroup_count=len(lat.subgroups), table=tuple(records))
+                    subgroup_count=len(lat.masks), table=tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +135,12 @@ def verify_monotonicity(G: GroupTable, group_id: str = "") -> list[TheoremVerdic
     An abelian image X (a subgroup H, a quotient G/N, a section H/N) is given
     tp(X) = 1 without a table. Every subgroup of an abelian group is normal,
     so each of its subgroup classes has one member, and `_compute_tp` returns
-    1 for such a table. X = <S>N/N is abelian exactly when the images of the
-    generators S commute pairwise, that is when every commutator of two of
-    them lies in N (`is_abelian_modulo`). Only the non-abelian images are
-    built as tables and have tp computed.
+    1 for such a table. A subgroup H is abelian exactly when G's table is
+    symmetric on H's elements (`is_abelian_subgroup`), which needs no
+    generating sequence of H. X = <S>N/N is abelian exactly when the images
+    of the generators S commute pairwise, that is when every commutator of
+    two of them lies in N (`is_abelian_modulo`). Only the non-abelian images
+    are built as tables and have tp computed.
 
     If H is abelian, so is every H/N, and every subgroup N of H is normal in
     H: the N of its sections are the subgroups of G inside H. They are taken
@@ -158,7 +161,7 @@ def verify_monotonicity(G: GroupTable, group_id: str = "") -> list[TheoremVerdic
         rep = cls[0]
         if rep.order == G.order:
             continue
-        if is_abelian_modulo(G, rep.generators()):
+        if is_abelian_subgroup(G, rep):
             tp_h = one
             # the subgroups N of G with 1 < |N| < |H| come first, after {1}
             stop = bisect_left(lat.subgroups, rep.order, key=lambda s: s.order)

@@ -18,6 +18,7 @@ from tpcalc.errors import (
     Limits,
     ParameterError,
     SizeLimitError,
+    VerificationError,
     using,
 )
 
@@ -698,6 +699,102 @@ class TestDerivedTables:
         mask[[0, 1]] = True  # 1 is a rotation of order 3
         with pytest.raises(ParameterError, match="not closed"):
             gc.subgroup_as_group(s3, gc.Subgroup._of_masks(s3, mask[None, :])[0])
+
+
+class TestLatticeArrays:
+    """A lattice's mask stack, orders and class labels against its
+    subgroups, classes and normal subgroups."""
+
+    @staticmethod
+    def assert_arrays_agree(lat: gc.Lattice, n: int, label) -> None:
+        subs = lat.subgroups
+        assert lat.masks.shape == (len(subs), n) and lat.masks.dtype == bool, label
+        for arr in (lat.masks, lat.orders, lat.labels):
+            assert not arr.flags.writeable, label
+        assert np.array_equal(lat.masks, np.array([s.mask for s in subs])), label
+        if len(subs) > 1:  # the masks are row views of the one stack
+            assert all(np.shares_memory(s.mask, lat.masks) for s in subs), label
+        assert lat.orders.tolist() == [s.order for s in subs], label
+        assert [s.elems for s in subs] == sorted((s.elems for s in subs),
+                                                 key=lambda e: (len(e), e)), label
+        row = {s.elems: i for i, s in enumerate(subs)}
+        want = np.empty(len(subs), dtype=np.intp)
+        for c, cls in enumerate(lat.classes):
+            want[[row[s.elems] for s in cls]] = c
+        assert lat.labels.tolist() == want.tolist(), label
+        sizes = np.bincount(lat.labels)
+        assert list(lat.normal) == [s for s, c in zip(subs, lat.labels) if sizes[c] == 1], label
+
+    def test_fresh_tables(self, zoo):
+        tables = {name: gc.GroupTable(G.mul) for name, G in zoo.items()}
+        tables["psl3_2"] = presets.psl3_2()
+        tables["elemab 2 6"] = gc.elementary_abelian(2, 6)
+        for name, G in tables.items():
+            self.assert_arrays_agree(gc.lattice(G), G.order, name)
+
+    def test_derived_tables(self, zoo):
+        for label, X in derived_tables(zoo):
+            self.assert_arrays_agree(gc.lattice(X), X.order, label)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 70), st.lists(st.sets(st.integers(1, 69)), min_size=1, max_size=40))
+    def test_canonical_order_is_the_order_elems_sort(self, n, sets):
+        """One byte-string sort key orders any sets that contain 0 as their
+        (size, sorted element tuple) sort does."""
+        tuples = sorted({(0,) + tuple(sorted(x for x in s if x < n)) for s in sets})
+        masks = np.zeros((len(tuples), n), dtype=bool)
+        for i, t in enumerate(tuples):
+            masks[i, list(t)] = True
+        orders = masks.sum(axis=1)
+        rows = gc._canonical_order(np.packbits(masks, axis=1), orders)
+        assert [tuples[i] for i in rows] == sorted(tuples, key=lambda t: (len(t), t))
+
+
+class TestLatticeCounts:
+    """The two counts the lattice pass checks: cyclic subgroups of order d
+    against the elements of order d, and subgroups of order p^k = 1 mod p."""
+
+    @staticmethod
+    def without_class(G: gc.GroupTable, order: int, size: int, cyclic: bool):
+        """G's mask stack and orders without one class of subgroups of the
+        given order and size, cyclic or not."""
+        lat = gc.lattice(G)
+        for c, cls in enumerate(lat.classes):
+            rep = cls[0]
+            is_cyclic = bool((G.element_orders[rep.elem_array] == rep.order).any())
+            if (rep.order, len(cls), is_cyclic) == (order, size, cyclic):
+                keep = lat.labels != c
+                return lat.masks[keep], lat.orders[keep]
+        raise AssertionError(f"no class of order {order} and size {size}")
+
+    def test_every_lattice_meets_them(self, zoo, catalog_groups):
+        for name, G in {**zoo, **catalog_groups}.items():
+            lat = gc.lattice(G)
+            gc._check_counts(G, lat.masks, lat.orders)
+        for label, X in derived_tables(zoo):
+            lat = gc.lattice(X)
+            gc._check_counts(X, lat.masks, lat.orders)
+
+    def test_a_dropped_cyclic_class_is_caught(self, zoo):
+        S4 = zoo["s4"]
+        with pytest.raises(VerificationError, match=r"order 24: 0 cyclic subgroups of order 4"):
+            gc._check_counts(S4, *self.without_class(S4, 4, 3, cyclic=True))
+
+    def test_a_dropped_p_subgroup_class_is_caught(self, zoo):
+        """S4's three non-normal Klein four-groups: not cyclic, so only the
+        count mod 2 of the subgroups of order 4 sees them go."""
+        S4 = zoo["s4"]
+        with pytest.raises(VerificationError,
+                           match=r"order 24: 4 subgroups of order 4, not 1 mod 2"):
+            gc._check_counts(S4, *self.without_class(S4, 4, 3, cyclic=False))
+
+    @pytest.mark.parametrize("name, order, size", [("s4", 6, 4), ("d8", 4, 2)])
+    def test_the_documented_drops_escape(self, zoo, name, order, size):
+        """A non-cyclic class escapes when its order is no prime power (S4's
+        four S3 subgroups), or when it is a p-subgroup class whose size p
+        divides (two of D8's Klein four-groups)."""
+        G = zoo[name]
+        gc._check_counts(G, *self.without_class(G, order, size, cyclic=False))
 
 
 class TestLatticeOracle:

@@ -187,11 +187,12 @@ class TestAbelianShortcut:
                 == _verdict_fields(full_monotonicity(G))
 
     def test_every_image_taken_as_abelian_is_abelian(self, catalog_groups, monkeypatch):
-        """Rebuild each image the check answered from the commutator test: a
+        """Rebuild each image the check answered as abelian, from the
+        symmetric-table test on a subgroup or the commutator test: a
         subgroup <gens>, a quotient G/N, and every section of an abelian
         subgroup. Each table is abelian and its tp is 1."""
         answered = []
-        is_abelian_modulo = gc.is_abelian_modulo
+        is_abelian_modulo, is_abelian_subgroup = gc.is_abelian_modulo, gc.is_abelian_subgroup
 
         def recorded(G, gens, N=None):
             abelian = is_abelian_modulo(G, gens, N)
@@ -199,7 +200,14 @@ class TestAbelianShortcut:
                 answered.append((G, gens, N))
             return abelian
 
+        def recorded_subgroup(G, H):
+            abelian = is_abelian_subgroup(G, H)
+            if abelian:
+                answered.append((G, H.elems, None))
+            return abelian
+
         monkeypatch.setattr(te, "is_abelian_modulo", recorded)
+        monkeypatch.setattr(te, "is_abelian_subgroup", recorded_subgroup)
         for name, G in catalog_groups.items():
             te.verify_monotonicity(G, name)
         images = []
@@ -238,6 +246,16 @@ class TestAbelianShortcut:
             for H in gc.lattice(G).subgroups:
                 assert gc.is_abelian_modulo(G, H.generators()) \
                     == gc.subgroup_as_group(G, H).is_abelian, (name, H.elems)
+
+    def test_symmetric_table_helper(self, zoo, monkeypatch):
+        """The subgroup test agrees with the subgroup's own table, also when
+        it compares one column at a time."""
+        for cells in (gc._ASSOCIATIVITY_CELLS, 5):
+            monkeypatch.setattr(gc, "_ASSOCIATIVITY_CELLS", cells)
+            for name, G in zoo.items():
+                for H in gc.lattice(G).subgroups:
+                    assert gc.is_abelian_subgroup(G, H) \
+                        == gc.subgroup_as_group(G, H).is_abelian, (name, cells, H.elems)
 
     def test_builds_only_the_non_abelian_tables(self, catalog_groups, monkeypatch):
         """c2_x_d4's check builds exactly the non-abelian ones of the tables
