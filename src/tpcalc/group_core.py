@@ -1253,14 +1253,14 @@ def is_abelian_subgroup(G: GroupTable, H: Subgroup) -> bool:
     return True
 
 
-def is_abelian_modulo(G: GroupTable, gens: Sequence[int], N: Subgroup | None = None) -> bool:
-    """Whether <gens>N/N is abelian, for N normal in <gens>N (the trivial
-    subgroup when None): the images of the generators commute pairwise
-    exactly when every commutator [a, b] = (ba)^-1 ab of two of them lies in N."""
+def is_abelian_modulo(G: GroupTable, gens: Sequence[int], N: Subgroup) -> bool:
+    """Whether <gens>N/N is abelian, for N normal in <gens>N: the images of
+    the generators commute pairwise exactly when every commutator
+    [a, b] = (ba)^-1 ab of two of them lies in N."""
     g = np.asarray(gens, dtype=np.intp)
     ab = G.mul[g[:, None], g[None, :]]
     comms = G.mul[G.inv[ab.T], ab]
-    return bool((comms == 0).all() if N is None else N.mask[comms].all())
+    return bool(N.mask[comms].all())
 
 
 def conjugator_count(G: GroupTable, H: Subgroup, K: Subgroup) -> int:

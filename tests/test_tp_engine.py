@@ -194,7 +194,7 @@ class TestAbelianShortcut:
         answered = []
         is_abelian_modulo, is_abelian_subgroup = gc.is_abelian_modulo, gc.is_abelian_subgroup
 
-        def recorded(G, gens, N=None):
+        def recorded(G, gens, N):
             abelian = is_abelian_modulo(G, gens, N)
             if abelian:
                 answered.append((G, gens, N))
@@ -233,10 +233,10 @@ class TestAbelianShortcut:
         center = gc.Subgroup(D4, D4.center_elems)
         assert center.order == 2
         assert gc.is_abelian_modulo(D4, D4.minimal_generators, center)          # C2 x C2
-        assert not gc.is_abelian_modulo(D4, D4.minimal_generators)
+        assert not gc.is_abelian_modulo(D4, D4.minimal_generators, gc.trivial_subgroup(D4))
         for G in (S4, D4):
             for x in range(G.order):
-                assert gc.is_abelian_modulo(G, [x])
+                assert gc.is_abelian_modulo(G, [x], gc.trivial_subgroup(G))
         for name, G in zoo.items():
             if G.order > 24:
                 continue
@@ -244,7 +244,7 @@ class TestAbelianShortcut:
                 assert gc.is_abelian_modulo(G, G.minimal_generators, N) \
                     == gc.quotient_group(G, N)[0].is_abelian, (name, N.elems)
             for H in gc.lattice(G).subgroups:
-                assert gc.is_abelian_modulo(G, H.generators()) \
+                assert gc.is_abelian_modulo(G, H.generators(), gc.trivial_subgroup(G)) \
                     == gc.subgroup_as_group(G, H).is_abelian, (name, H.elems)
 
     def test_symmetric_table_helper(self, zoo, monkeypatch):
