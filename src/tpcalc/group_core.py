@@ -913,12 +913,14 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
         for i in np.flatnonzero(~alone).tolist():
             if keys[i] not in found:
                 register(new[i], keys[i], gens[i])
-    packed = np.frombuffer(b"".join(found), dtype=np.uint8).reshape(len(found), -1)
+    keys = list(found)
     labels = np.fromiter(found.values(), dtype=np.intp, count=len(found))
     found.clear()
     orders = np.array(class_orders)[labels]
-    rows = _canonical_order(packed, orders)
-    masks = np.unpackbits(packed[rows], axis=1, count=n).view(bool)
+    rows = _canonical_order(keys, orders.tolist())
+    packed = np.frombuffer(b"".join([keys[i] for i in rows]), dtype=np.uint8)
+    del keys
+    masks = np.unpackbits(packed.reshape(len(rows), -1), axis=1, count=n).view(bool)
     del packed
     orders, labels = orders[rows], labels[rows]
     subs = Subgroup._of_masks(G, masks)
@@ -1002,7 +1004,7 @@ def lattice(G: GroupTable) -> Lattice:
             orders = np.count_nonzero(mapped, axis=1)
             keep = orders * floor.order == parent._lattice.orders[above]
             mapped, orders = mapped[keep], orders[keep]
-            rows = _canonical_order(np.packbits(mapped, axis=1), orders)
+            rows = _canonical_order(_packed_rows(mapped), orders.tolist())
             masks = mapped[rows]
             subs = Subgroup._of_masks(G, masks)
             classes = subgroup_conjugacy_classes(G, subs)
@@ -1029,20 +1031,19 @@ def _lattice_of(masks: np.ndarray, orders: np.ndarray, subs: list[Subgroup],
                    masks, orders, labels)
 
 
-def _canonical_order(packed: np.ndarray, orders: np.ndarray) -> np.ndarray:
+def _canonical_order(keys: list[bytes], orders: list[int]) -> np.ndarray:
     """The row order that sorts subgroups by (order, element tuple), from
-    their masks packed by `np.packbits` (first element in the high bit).
+    their masks packed by `_packed_rows` (first element in the high bit).
 
     Of two sets of one size, the one holding the least element of their
     difference has the smaller tuple and the greater packed bytes, so within
-    one order ascending tuples are descending bytes. One byte-string key per
-    row, the order in four big-endian bytes and then the complemented packed
-    mask, therefore sorts every row at once."""
-    rows, width = packed.shape
-    key = np.empty((rows, 4 + width), dtype=np.uint8)
-    key[:, :4] = orders.astype(">u4")[:, None].view(np.uint8)
-    np.invert(packed, out=key[:, 4:])
-    return np.argsort(key.view(f"V{4 + width}").ravel())
+    one order ascending tuples are descending bytes. A stable sort by order
+    after a descending sort by bytes therefore gives the canonical order. Two
+    list sorts keep numpy's sort, invert and byte-swap loops out of the
+    process: each first use of one raised the benchmark's peak RSS."""
+    rows = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+    rows.sort(key=orders.__getitem__)
+    return np.array(rows, dtype=np.intp)
 
 
 def _check_counts(G: GroupTable, masks: np.ndarray, orders: np.ndarray) -> None:

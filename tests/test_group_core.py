@@ -739,14 +739,14 @@ class TestLatticeArrays:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 70), st.lists(st.sets(st.integers(1, 69)), min_size=1, max_size=40))
     def test_canonical_order_is_the_order_elems_sort(self, n, sets):
-        """One byte-string sort key orders any sets that contain 0 as their
-        (size, sorted element tuple) sort does."""
+        """The order taken from packed masks sorts any sets that contain 0
+        as their (size, sorted element tuple) sort does."""
         tuples = sorted({(0,) + tuple(sorted(x for x in s if x < n)) for s in sets})
         masks = np.zeros((len(tuples), n), dtype=bool)
         for i, t in enumerate(tuples):
             masks[i, list(t)] = True
         orders = masks.sum(axis=1)
-        rows = gc._canonical_order(np.packbits(masks, axis=1), orders)
+        rows = gc._canonical_order(gc._packed_rows(masks), orders.tolist())
         assert [tuples[i] for i in rows] == sorted(tuples, key=lambda t: (len(t), t))
 
 
