@@ -806,8 +806,8 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
     The pass builds no `Subgroup` until it ends. It keeps each registered
     subgroup as its packed mask, the key it is found by, with a class label,
     and each work-list entry as an element array with its generators. At the
-    end one sort puts the packed masks in the canonical order
-    (`_canonical_order`), they are unpacked into one read-only mask stack,
+    end `_canonical_order` puts the packed masks in the canonical order,
+    they are unpacked into one read-only mask stack,
     and `_lattice_of` builds every subgroup from it. The lattice is checked
     against two counting identities (`_check_counts`), and stored as G's
     when none is memoised yet; `lattice` reads it from there.
