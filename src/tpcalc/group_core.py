@@ -11,20 +11,20 @@ writes) is cached on first use and only ever replaced by an identical value.
 `cosets` memoises its last 8 numberings for the process, keyed by a weak
 reference to the table, so a freed table is never served.
 `lattice(G)` is the one place that finds the subgroups of a table, splits them
-into conjugacy classes and decides which are normal; every consumer reads
-that value. A `Lattice` is one read-only stack of subgroup masks in the
-canonical (order, elems) order, with each row's order and class label, and
-its subgroups, classes and normal subgroups are built from that stack. A
-fresh table gets all of it from one pass of `all_subgroups`, which registers
-each new subgroup's whole conjugacy class when it first finds it and extends
-only that first member: a normal one by its cosets, in stacks of one order,
-and any other by a batched breadth-first search. The pass keeps packed masks
-and class labels, builds no `Subgroup` until it ends, and checks its result
-against two classical counts. A table built from another one by
+into conjugacy classes and decides which are normal; every consumer reads that
+value. A `Lattice` is one read-only stack of subgroup masks in the canonical
+(order, elems) order, with each row's order and class label. One constructor,
+`_lattice_of`, builds its subgroups, classes and normal subgroups from the
+stack and checks it against two classical counts. A fresh table gets the stack
+from one pass of `all_subgroups`, which registers each new subgroup's whole
+conjugacy class when it first finds it and extends only that first member: a
+normal one by its cosets, in stacks of one order, and any other by a batched
+breadth-first search. The pass keeps packed masks and class labels, and builds
+no `Subgroup` until it ends. A table built from another one by
 `subgroup_as_group` or `quotient_group` records its source, and once the
-source's lattice is built it takes its subgroups from the source's mask
-stack by the correspondence theorem instead of enumerating them again; it
-splits them with the same orbit walk on subgroup masks.
+source's lattice is built it takes its subgroups from the source's mask stack
+by the correspondence theorem instead of enumerating them again, and splits
+that finished stack into classes in one step (`_class_labels`).
 
 Only tables given from outside are validated. A subgroup or quotient table is
 carried from a validated parent by a checked map (the closure of H, the
@@ -806,11 +806,9 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
     The pass builds no `Subgroup` until it ends. It keeps each registered
     subgroup as its packed mask, the key it is found by, with a class label,
     and each work-list entry as an element array with its generators. At the
-    end `_canonical_order` puts the packed masks in the canonical order,
-    they are unpacked into one read-only mask stack,
-    and `_lattice_of` builds every subgroup from it. The lattice is checked
-    against two counting identities (`_check_counts`), and stored as G's
-    when none is memoised yet; `lattice` reads it from there.
+    end `_canonical_order` puts the packed masks in the canonical order, they
+    are unpacked into one read-only mask stack, and `_lattice_of` builds,
+    checks and stores the lattice from it; `lattice` reads it there.
     """
     check_limit(G.order, "order")
     n = G.order
@@ -922,21 +920,7 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
     del keys
     masks = np.unpackbits(packed.reshape(len(rows), -1), axis=1, count=n).view(bool)
     del packed
-    orders, labels = orders[rows], labels[rows]
-    subs = Subgroup._of_masks(G, masks)
-    members: dict[int, list[Subgroup]] = {}  # by label, each in canonical order
-    for s, label in zip(subs, labels.tolist()):
-        members.setdefault(label, []).append(s)
-    # the classes in canonical order, by the element tuples of their heads
-    heads = sorted(members, key=lambda label: members[label][0].elems)
-    rank = np.empty(len(heads), dtype=np.intp)
-    rank[heads] = np.arange(len(heads))
-    lat = _lattice_of(masks, orders, subs, rank[labels],
-                      [tuple(members.pop(label)) for label in heads])
-    _check_counts(G, masks, orders)
-    if G._lattice is None:
-        G._lattice = lat
-    return list(lat.subgroups)
+    return list(_lattice_of(G, masks, orders[rows], labels[rows]).subgroups)
 
 
 def _normal_extensions(mul: np.ndarray, elems: np.ndarray) -> tuple[np.ndarray, np.ndarray,
@@ -973,7 +957,7 @@ class Lattice:
     is row i of it."""
 
     subgroups: tuple[Subgroup, ...]            # sorted by (order, elems)
-    classes: tuple[tuple[Subgroup, ...], ...]  # as subgroup_conjugacy_classes
+    classes: tuple[tuple[Subgroup, ...], ...]  # each sorted, ordered by first member
     normal: tuple[Subgroup, ...]               # one-member classes, as subgroups
     masks: np.ndarray   # (subgroups, n) read-only booleans, in the order of `subgroups`
     orders: np.ndarray  # the order of each subgroup
@@ -987,10 +971,9 @@ def lattice(G: GroupTable) -> Lattice:
     A table whose source parent already has its lattice takes its subgroups
     from the parent's mask stack by the correspondence theorem: the subgroups
     of H are those of G inside H, and the subgroups of G/N are the images of
-    the K of G that contain N, each the image of exactly one such K. Those
-    are split into classes by `subgroup_conjugacy_classes`. Every other table
-    runs `all_subgroups`, whose one pass finds the subgroups and their
-    classes together and stores the lattice."""
+    the K of G that contain N, each the image of exactly one such K, and
+    `_class_labels` splits them into classes. Every other table runs
+    `all_subgroups`. Both paths end in `_lattice_of`."""
     check_limit(G.order, "order")
     if G._lattice is None:
         if G._source is not None and G._source[0]._lattice is not None:
@@ -1006,29 +989,34 @@ def lattice(G: GroupTable) -> Lattice:
             mapped, orders = mapped[keep], orders[keep]
             rows = _canonical_order(_packed_rows(mapped), orders.tolist())
             masks = mapped[rows]
-            subs = Subgroup._of_masks(G, masks)
-            classes = subgroup_conjugacy_classes(G, subs)
-            label_of = {id(s): label for label, cls in enumerate(classes) for s in cls}
-            labels = np.array([label_of[id(s)] for s in subs], dtype=np.intp)
-            G._lattice = _lattice_of(masks, orders[rows], subs, labels, list(classes))
+            _lattice_of(G, masks, orders[rows], _class_labels(G, masks))
         else:
             all_subgroups(G)
     return G._lattice
 
 
-def _lattice_of(masks: np.ndarray, orders: np.ndarray, subs: list[Subgroup],
-                labels: np.ndarray, classes: list[tuple[Subgroup, ...]]) -> Lattice:
-    """The lattice of the subgroups `subs`, built from the rows of `masks`,
-    with their orders, and with their conjugacy classes labelled by index in
-    `classes`. Everything is in the canonical order: the subgroups by (order,
-    element tuple), each class by element tuple, the classes by their first
-    member."""
-    alone = np.bincount(labels, minlength=len(classes))[labels] == 1
+def _lattice_of(G: GroupTable, masks: np.ndarray, orders: np.ndarray,
+                labels: np.ndarray) -> Lattice:
+    """The lattice of G from its canonical mask stack `masks`, `orders` and
+    class `labels`; checked by `_check_counts` and memoised on G if G has none."""
+    subs = Subgroup._of_masks(G, masks)
+    members: dict[int, list[Subgroup]] = {}  # by label, each in canonical order
+    for s, label in zip(subs, labels.tolist()):
+        members.setdefault(label, []).append(s)
+    # the classes in canonical order, by the element tuples of their heads
+    heads = sorted(members, key=lambda label: members[label][0].elems)
+    rank = np.empty(len(subs), dtype=np.intp)  # each label is below the row count
+    rank[heads] = np.arange(len(heads))
+    labels = rank[labels]
+    classes = tuple(tuple(members.pop(label)) for label in heads)
+    normal = tuple(s for s, c in zip(subs, labels.tolist()) if len(classes[c]) == 1)
     for arr in (masks, orders, labels):
         arr.setflags(write=False)
-    return Lattice(tuple(subs), tuple(classes),
-                   tuple(s for s, one in zip(subs, alone.tolist()) if one),
-                   masks, orders, labels)
+    lat = Lattice(tuple(subs), classes, normal, masks, orders, labels)
+    _check_counts(G, masks, orders)
+    if G._lattice is None:
+        G._lattice = lat
+    return lat
 
 
 def _canonical_order(keys: list[bytes], orders: list[int]) -> np.ndarray:
@@ -1064,10 +1052,12 @@ def _check_counts(G: GroupTable, masks: np.ndarray, orders: np.ndarray) -> None:
     n = G.order
     count = np.bincount(orders, minlength=n + 1)
     ends = np.cumsum(count)
-    with_order = np.bincount(G.element_orders, minlength=n + 1)
+    # uncached: a derived table lingers in a cycle with its lattice until collected
+    element_orders = GroupTable.element_orders.func(G)
+    with_order = np.bincount(element_orders, minlength=n + 1)
     for d in np.flatnonzero(with_order).tolist():
         rows = masks[ends[d] - count[d]:ends[d]]
-        cyclic = int(np.count_nonzero(rows[:, G.element_orders == d].any(axis=1)))
+        cyclic = int(np.count_nonzero(rows[:, element_orders == d].any(axis=1)))
         phi = d
         for p in prime_factors(d):
             phi = phi // p * (p - 1)
@@ -1133,6 +1123,28 @@ def _conjugacy_class(perms: np.ndarray, mask: np.ndarray,
         frontier = conj[fresh]
         members.append(frontier)
     return list(seen), np.concatenate(members)
+
+
+def _class_labels(G: GroupTable, masks: np.ndarray) -> np.ndarray:
+    """The least row of each row's conjugacy class in the boolean mask stack
+    `masks`, which must be closed under conjugation: the least label over its
+    images under `_conjugation_perms` (the centre fixes every row), taken
+    with pointer jumping until nothing changes."""
+    row_of = {key: i for i, key in enumerate(_packed_rows(masks))}
+    # a column gather is not C-contiguous, which `_packed_rows` needs
+    images = [row_of.get(key) for perm in _conjugation_perms(G)
+              for key in _packed_rows(np.ascontiguousarray(masks[:, perm]))]
+    if None in images:
+        raise VerificationError("conjugate of a subgroup missing from list")
+    images = np.array(images, dtype=np.intp).reshape(-1, len(masks))
+    labels = np.arange(len(masks))
+    while True:
+        last = labels
+        for image in images:  # row i: where conjugation by perm i takes each row
+            labels = np.minimum(labels, labels[image])
+        labels = labels[labels]
+        if (labels == last).all():
+            return labels
 
 
 @dataclass(frozen=True)
@@ -1274,25 +1286,13 @@ def conjugator_count(G: GroupTable, H: Subgroup, K: Subgroup) -> int:
 
 def subgroup_conjugacy_classes(G: GroupTable,
                                subs: Sequence[Subgroup]) -> tuple[tuple[Subgroup, ...], ...]:
-    """Partition of `subs`, which must be closed under conjugation, into
-    conjugacy classes by the orbit walk `_conjugacy_class` that
-    `all_subgroups` also uses; each class is sorted, classes ordered by their
-    first member."""
-    keyed = sorted(zip(_packed_rows(np.array([s.mask for s in subs])), subs),
-                   key=lambda ks: ks[1].elems)
-    by_key = dict(keyed)
-    perms = _conjugation_perms(G)
-    placed: set[bytes] = set()
-    classes = []
-    for key, s in keyed:
-        if key in placed:
-            continue
-        keys, _ = _conjugacy_class(perms, s.mask, key)
-        if any(k not in by_key for k in keys):
-            raise VerificationError("conjugate of a subgroup missing from list")
-        placed.update(keys)
-        classes.append(tuple(sorted((by_key[k] for k in keys), key=lambda s: s.elems)))
-    return tuple(classes)
+    """Partition of `subs`, closed under conjugation, into conjugacy classes by
+    `_class_labels`: each class sorted, classes ordered by their first member."""
+    subs = sorted(subs, key=lambda s: s.elems)
+    members: dict[int, list[Subgroup]] = {}  # by the least row of the class
+    for s, label in zip(subs, _class_labels(G, np.array([s.mask for s in subs])).tolist()):
+        members.setdefault(label, []).append(s)
+    return tuple(map(tuple, members.values()))
 
 
 def quotient_group(G: GroupTable, N: Subgroup) -> tuple[GroupTable, np.ndarray]:

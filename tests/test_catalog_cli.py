@@ -288,14 +288,16 @@ class TestScan:
         assert calls == {"structure": once, "classification": once}
 
     def test_no_table_is_split_twice(self, monkeypatch):
-        original = gc.subgroup_conjugacy_classes
+        """Every derived lattice is split into classes by `_class_labels`
+        once, however many checks read it."""
+        original = gc._class_labels
         splits = Counter()
         tables = []  # kept alive, so no id is reused
 
-        def counting(G, subs):
+        def counting(G, masks):
             splits[id(G)] += 1
             tables.append(G)
-            return original(G, subs)
+            return original(G, masks)
 
         for name, mod in list(sys.modules.items()):
             if name == "tpcalc" or name.startswith("tpcalc."):

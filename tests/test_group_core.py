@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import weakref
 from gc import collect
@@ -624,6 +625,29 @@ class TestLattice:
             for cls in lat.classes:
                 assert list(cls) == sorted(cls, key=lambda s: s.elems), name
 
+    def test_the_stack_split_agrees_with_the_pass(self, zoo, catalog_groups):
+        """The split of a finished stack (`_class_labels`) and the pass's
+        orbit walk, which labels each class as it registers it, give the
+        same partition of every fresh lattice, so each route checks the
+        other. `subgroup_conjugacy_classes` on the stack's subgroups returns
+        the lattice's classes, in the same order."""
+        for name, G in {**zoo, **catalog_groups}.items():
+            lat = gc.lattice(G)
+            labels = gc._class_labels(G, lat.masks).tolist()
+            pairs = set(zip(labels, lat.labels.tolist()))
+            assert len(pairs) == len(set(labels)) == len(lat.classes), name
+            assert gc.subgroup_conjugacy_classes(G, lat.subgroups) == lat.classes, name
+
+    def test_split_refuses_a_list_not_closed_under_conjugation(self, zoo):
+        """S4 without one of its three cyclic subgroups of order 4: the
+        other two are each a conjugate of the missing one."""
+        S4 = zoo["s4"]
+        subs = list(gc.lattice(S4).subgroups)
+        subs.remove(next(s for s in subs
+                         if s.order == 4 and (S4.element_orders[s.elem_array] == 4).any()))
+        with pytest.raises(VerificationError, match="conjugate of a subgroup missing from list"):
+            gc.subgroup_conjugacy_classes(S4, subs)
+
     def test_built_once_and_cap_checked_on_every_call(self):
         G = gc.dihedral(5)
         assert gc.lattice(G) is gc.lattice(G)
@@ -787,6 +811,26 @@ class TestLatticeCounts:
         with pytest.raises(VerificationError,
                            match=r"order 24: 4 subgroups of order 4, not 1 mod 2"):
             gc._check_counts(S4, *self.without_class(S4, 4, 3, cyclic=False))
+
+    def test_derived_lattices_are_checked(self, zoo):
+        """A subgroup or quotient table whose parent's lattice misses a
+        cyclic class takes a stack that misses one too, and the counts catch
+        it: without S4's three cyclic subgroups of order 4, a D8 inside S4
+        has no C4; without C8's C4, C8/C2 has no C2."""
+        def planted(G, order, size):
+            lat = gc.lattice(G)
+            masks, orders = self.without_class(G, order, size, cyclic=True)
+            G._lattice = dataclasses.replace(lat, masks=masks, orders=orders)
+            return lat
+
+        S4 = gc.GroupTable(zoo["s4"].mul)
+        D8 = next(H for H in planted(S4, 4, 3).subgroups if H.order == 8)
+        with pytest.raises(VerificationError, match=r"order 8: 0 cyclic subgroups of order 4"):
+            gc.lattice(gc.subgroup_as_group(S4, D8))
+        C8 = gc.cyclic(8)
+        C2 = planted(C8, 4, 1).subgroups[1]
+        with pytest.raises(VerificationError, match=r"order 4: 0 cyclic subgroups of order 2"):
+            gc.lattice(gc.quotient_group(C8, C2)[0])
 
     @pytest.mark.parametrize("name, order, size", [("s4", 6, 4), ("d8", 4, 2)])
     def test_the_documented_drops_escape(self, zoo, name, order, size):
