@@ -165,8 +165,9 @@ def verify_monotonicity(G: GroupTable, group_id: str = "") -> list[TheoremVerdic
             tp_h = one
             # the subgroups N of G with 1 < |N| < |H| come first, after {1}
             stop = bisect_left(lat.subgroups, rep.order, key=lambda s: s.order)
-            section_tps = [(N.order, one) for N in lat.subgroups[1:stop]
-                           if rep.contains_subgroup(N)]
+            # row N lies inside H when it marks no element outside H
+            inside = ~lat.masks[1:stop][:, ~rep.mask].any(axis=1)
+            section_tps = [(order, one) for order in lat.orders[1:stop][inside].tolist()]
         else:
             H = subgroup_as_group(G, rep)
             tp_h = tp(H).tp

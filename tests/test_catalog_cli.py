@@ -288,9 +288,9 @@ class TestScan:
         assert calls == {"structure": once, "classification": once}
 
     def test_no_table_is_split_twice(self, monkeypatch):
-        """Every derived lattice is split into classes by `_class_labels`
-        once, however many checks read it."""
-        original = gc._class_labels
+        """Every derived lattice's finished stack is split into classes
+        (`_closed_class_labels`) once, however many checks read it."""
+        original = gc._closed_class_labels
         splits = Counter()
         tables = []  # kept alive, so no id is reused
 

@@ -626,16 +626,15 @@ class TestLattice:
                 assert list(cls) == sorted(cls, key=lambda s: s.elems), name
 
     def test_the_stack_split_agrees_with_the_pass(self, zoo, catalog_groups):
-        """The split of a finished stack (`_class_labels`) and the pass's
-        orbit walk, which labels each class as it registers it, give the
-        same partition of every fresh lattice, so each route checks the
-        other. `subgroup_conjugacy_classes` on the stack's subgroups returns
-        the lattice's classes, in the same order."""
+        """The pass and the split of a finished stack both go through
+        `_class_labels`, so they are checked against the test-side orbit
+        walk on sorted tuples: on every zoo and builtin lattice the classes
+        are its classes, in its order, and `subgroup_conjugacy_classes` on
+        the stack's subgroups returns the lattice's classes."""
         for name, G in {**zoo, **catalog_groups}.items():
             lat = gc.lattice(G)
-            labels = gc._class_labels(G, lat.masks).tolist()
-            pairs = set(zip(labels, lat.labels.tolist()))
-            assert len(pairs) == len(set(labels)) == len(lat.classes), name
+            want = tuple_walk_classes(G, [s.elems for s in lat.subgroups])
+            assert [[s.elems for s in c] for c in lat.classes] == want, name
             assert gc.subgroup_conjugacy_classes(G, lat.subgroups) == lat.classes, name
 
     def test_split_refuses_a_list_not_closed_under_conjugation(self, zoo):
@@ -895,6 +894,60 @@ class TestLatticeOracle:
         assert any({k in normal for k in fresh} == {True, False} for _, fresh in stacks)
         assert any(keys.count(k) > 1 for keys, fresh in stacks for k in fresh)
         assert_lattice_is_the_reference(lat, G, extend_every_subgroup(G), expr)
+
+    @pytest.mark.parametrize("name", ["s4", "psl3_2"])
+    def test_conjugate_new_rows_in_one_stack(self, monkeypatch, catalog_groups, name):
+        """Some stack of new subgroups holds two conjugates, which the
+        split gives one class and one head. A wrapper over `_class_labels`
+        records the labels of each stack's input rows."""
+        stacks = []
+
+        def recording(perms, masks, keys):
+            keys, labels = real(perms, masks, keys)
+            stacks.append(labels[:len(masks)].tolist())
+            return keys, labels
+
+        G = catalog_groups[name]
+        real = gc._class_labels
+        monkeypatch.setattr(gc, "_class_labels", recording)
+        lat = gc.lattice(gc.GroupTable(G.mul))
+        assert any(len(set(labels)) < len(labels) for labels in stacks)
+        assert_lattice_is_the_reference(lat, G, extend_every_subgroup(G), name)
+
+    @pytest.mark.parametrize("drop", [0, 1])
+    def test_a_split_that_ignores_a_conjugation_is_caught(self, monkeypatch, zoo, drop):
+        """A split that ignores the images under one of S4's two
+        conjugation permutations (it reads them as the identity's) registers
+        classes too small. The pass skips as a seed every conjugate of a
+        cyclic subgroup's generators, so the conjugates it left out are never
+        found, and the lattice's count of cyclic subgroups fails."""
+        def ignoring(perms, masks, keys):
+            perms = perms.copy()
+            perms[drop] = np.arange(perms.shape[1])
+            return real(perms, masks, keys)
+
+        real = gc._class_labels
+        monkeypatch.setattr(gc, "_class_labels", ignoring)
+        S4 = gc.GroupTable(zoo["s4"].mul)
+        assert len(gc._conjugation_perms(S4)) == 2
+        with pytest.raises(VerificationError,
+                           match=r"order 24: [35] cyclic subgroups of order 2,"):
+            gc.lattice(S4)
+
+    @pytest.mark.parametrize("name, gens, classes", [
+        ("S4", ((1, 2, 3, 0), (1, 0, 2, 3)), 11),
+        ("A5", ((1, 2, 0, 3, 4), (1, 2, 3, 4, 0)), 9),
+        ("S5", ((1, 2, 3, 4, 0), (1, 0, 2, 3, 4)), 19),
+        ("PSL(2,7)", None, 15),
+        ("S6", ((1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)), 56)])
+    def test_published_class_counts(self, name, gens, classes):
+        """The number of conjugacy classes of subgroups, a count taken from
+        the literature rather than from this code: OEIS A000638 for S_n, and
+        the published tables of A5 and PSL(2,7) = PSL(3,2)."""
+        G = presets.psl3_2() if gens is None else gc.from_permutation_generators(
+            len(gens[0]), gens)
+        with using(Limits(order=G.order)):
+            assert len(gc.lattice(G).classes) == classes, name
 
     def test_a6_above_the_default_cap(self):
         a6 = gc.from_permutation_generators(6, [(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)])
