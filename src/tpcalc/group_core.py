@@ -781,7 +781,9 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
     generates; so by induction on |L| some member of L's class is found, and
     with it the whole class. The trivial subgroup is not extended: its
     extensions are the cyclic seeds, and an element is skipped as a seed once
-    it is known to generate a registered cyclic subgroup.
+    it is known to generate a conjugate of an earlier seed. So no two seeds
+    are conjugate, and they are registered as one stack, each heading its
+    own class.
 
     A normal H (a class of one member) needs no search. Its (H,H)-double
     cosets are its cosets, so the least coset representatives serve as r,
@@ -839,15 +841,21 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
                 pending.append((flat[start:start + size], gens[i]))
             start += size
 
+    seeds: list[int] = []
+    seed_elems: list[np.ndarray] = []
     for x in range(n):
         if not generates_found[x]:
             elems = closure_of(G, [x])
-            mask = np.zeros((1, n), dtype=bool)
-            mask[0, elems] = True
-            register(mask, _packed_rows(mask), [(x,)])
+            seeds.append(x)
+            seed_elems.append(elems)
             # y generates a member <x>^g of this class when it is a conjugate
             # of a generator of <x>, an element of <x> of the order of x
             generates_found[conjugates(G, elems[G.element_orders[elems] == elems.size])] = True
+    # so no two seeds are conjugate, and each seed heads its own class
+    mask = np.zeros((len(seeds), n), dtype=bool)
+    for row, elems in zip(mask, seed_elems):
+        row[elems] = True
+    register(mask, _packed_rows(mask), [(x,) for x in seeds])
     idx = np.arange(n)
     while work or normal:
         batch, cells = [], 0
@@ -1107,12 +1115,15 @@ def _class_labels(perms: np.ndarray, masks: np.ndarray,
     images, taken with pointer jumping until nothing changes. The masks of
     the added rows are dropped once their images are known: no caller needs
     them, and keeping them raised the peak RSS of `lattice` on S7 from 237 to
-    244 MB (Python 3.11, numpy 2.4)."""
+    244 MB (Python 3.11, numpy 2.4). With no permutations (G abelian) every
+    row is a class of its own."""
+    if not perms.shape[0]:
+        return list(keys), np.arange(len(keys))
     row_of = dict(zip(keys, range(len(keys))))
     keys = list(keys)
     frontier = masks
     images: list[int] = []  # entry i*len(perms) + k: the row conjugation k takes row i to
-    while frontier.shape[0] and perms.shape[0]:
+    while frontier.shape[0]:
         # a non-abelian G has two or more non-central generators (G/Z(G) is not
         # cyclic), so the reshape copies into the C-contiguous rows `_packed_rows` needs
         conj = frontier[:, perms].reshape(-1, masks.shape[1])
@@ -1162,8 +1173,10 @@ _coset_memo: OrderedDict[tuple[weakref.ref, tuple[int, ...], str], Cosets] = Ord
 def cosets(G: GroupTable, H: Subgroup, side: str) -> Cosets:
     """The left cosets gH (side "left") or right cosets Hg (side "right"),
     numbered by ascending minimal representative. H must be a subgroup of G.
-    A repeated request is served from the memo the module docstring
-    describes."""
+    With least[g] the least element of g's coset, the representatives are
+    the fixed points of `least`, and an element's id is the rank of its
+    coset's one among them. A repeated request is served from the memo the
+    module docstring describes."""
     if H.parent is not G:
         raise PreconditionError("the subgroup must belong to the given group")
     key = (weakref.ref(G), H.elems, side)
@@ -1178,7 +1191,7 @@ def cosets(G: GroupTable, H: Subgroup, side: str) -> Cosets:
     else:
         raise ParameterError(f"side must be 'left' or 'right', got {side!r}")
     least = members.min(axis=1)
-    reps = np.unique(least)
+    reps = np.flatnonzero(least == np.arange(G.order))
     ids = np.searchsorted(reps, least)
     ids.setflags(write=False)
     found = _coset_memo[key] = Cosets(ids, tuple(reps.tolist()))
@@ -1217,12 +1230,16 @@ def _least_in_double_coset(G: GroupTable, label: np.ndarray, K: np.ndarray) -> n
 
 def double_cosets(G: GroupTable, H: Subgroup, K: Subgroup) -> DoubleCosets:
     """The double cosets KgH, numbered by ascending minimal representative:
-    the block of g is named by the least id of the left cosets in KgH."""
+    the block of g is named by the least id of the left cosets in KgH. The
+    ids that name a block are marked, and the marked ids, ascending, are the
+    blocks' representatives."""
     if K.parent is not G:  # K reaches no `cosets` call, which checks H
         raise PreconditionError("the subgroup must belong to the given group")
     left = cosets(G, H, "left")
     least = _least_in_double_coset(G, left.ids, K.elem_array)
-    rep_ids = np.unique(least)
+    mark = np.zeros(len(left.reps), dtype=bool)
+    mark[least] = True
+    rep_ids = np.flatnonzero(mark)
     block_of = np.searchsorted(rep_ids, least)
     block_of.setflags(write=False)
     return DoubleCosets(left, block_of, rep_ids)
@@ -1414,7 +1431,9 @@ def _build_map(A: GroupTable, B: GroupTable, gens, images, span) -> np.ndarray |
 
 
 def _is_full_isomorphism(A: GroupTable, B: GroupTable, phi: np.ndarray) -> bool:
-    if np.unique(phi).size != A.order:
+    image = np.zeros(B.order, dtype=bool)
+    image[phi] = True
+    if np.count_nonzero(image) != A.order:
         return False
     return bool(np.array_equal(phi[A.mul], B.mul[phi[:, None], phi[None, :]]))
 
@@ -1450,8 +1469,9 @@ def _derived_of(G: GroupTable, elems: np.ndarray) -> np.ndarray:
     inv_e = G.inv[elems].astype(np.int64)
     left = G.mul[np.ix_(inv_e, inv_e)].ravel()
     right = G.mul[np.ix_(elems, elems)].ravel()
-    comms = np.unique(G.mul[left, right])
-    return closure_of(G, comms.tolist())
+    comms = np.zeros(G.order, dtype=bool)
+    comms[G.mul[left, right]] = True
+    return closure_of(G, np.flatnonzero(comms).tolist())
 
 
 def derived_series(G: GroupTable) -> list[np.ndarray]:

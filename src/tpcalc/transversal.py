@@ -83,7 +83,8 @@ def orbit_t_vector(G: GroupTable, H: Subgroup, K: Subgroup | None = None) -> tup
     label = orbit.min(axis=0)
     if not (label[orbit] == label).all():
         raise VerificationError("the orbits of K do not partition the cosets of H")
-    lengths = np.unique(label, return_counts=True)[1]
+    lengths = np.bincount(label)
+    lengths = lengths[lengths > 0]
     if (K.order % lengths).any():
         raise VerificationError("an orbit length does not divide |K|")
     return tuple(sorted(lengths.tolist(), reverse=True))

@@ -2,12 +2,27 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from tpcalc import catalog as cat
 from tpcalc import group_core as gc
 from tpcalc import presets
 from tpcalc import tp_engine as te
+
+
+def relabelling(n: int, seed: int) -> np.ndarray:
+    """The permutation of 0..n-1 by which `relabelled` moves each element."""
+    return np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(n - 1)])
+
+
+def relabelled(G: gc.GroupTable, seed: int) -> gc.GroupTable:
+    """A fresh table isomorphic to G, its non-identity elements permuted:
+    element x of G is element perm[x] of the result."""
+    perm = relabelling(G.order, seed)
+    mul = np.empty_like(G.mul)
+    mul[np.ix_(perm, perm)] = perm[G.mul]
+    return gc.GroupTable(mul)
 
 
 @pytest.fixture(scope="session")

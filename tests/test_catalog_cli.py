@@ -1000,3 +1000,44 @@ class TestCli:
         assert code == 0
         r2 = json.loads((tmp_path / "r2.json").read_text())
         assert r2["entries"][0]["cache_hit"] is True
+
+
+# tp on psl3_2 and S5, a scan of entries that reach `is_isomorphic`,
+# `derived_series` and `quotient_group`, and the pair routes on S4
+FRESH_PROCESS_SCRIPT = """
+import sys
+import numpy
+print("numpy.ma" in sys.modules)
+from tpcalc import catalog, coset_graph as cg, group_core as gc, presets, tp_engine as te
+from tpcalc import transversal as tv
+te.tp(presets.psl3_2())
+te.tp(gc.from_permutation_generators(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]))
+ids = ("c4_circ_d4", "c6_c4", "q16", "s4")
+catalog.scan_and_report([e for e in catalog.builtin_catalog() if e.id in ids])
+G = presets.symmetric_4()
+subs = gc.all_subgroups(G)
+for H in subs:
+    for K in subs:
+        if H.order == K.order:
+            cg.build_coset_graph(G, H, K)
+            tv.permanent_ryser(tv.weight_matrix(G, H, K).entries)
+            if H.order**H.index <= tv.ENUMERATION_BUDGET:
+                tv.dt_enumerate(G, H, K)
+print("numpy.ma" in sys.modules)
+"""
+
+
+class TestFreshProcess:
+    def test_numpy_ma_is_never_imported(self, tmp_path):
+        """No code path of tp, the scan or the pair routes needs `numpy.ma`,
+        which `np.unique` without index or count outputs imports (numpy 2.4);
+        importing it took 14.5-14.8 ms of a fresh process (numpy 2.4.6,
+        Python 3.11, 2-core x86_64)."""
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        proc = subprocess.run([sys.executable, "-c", FRESH_PROCESS_SCRIPT], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        with_numpy, at_end = proc.stdout.split()
+        if with_numpy == "True":
+            pytest.skip("this numpy imports numpy.ma with numpy itself")
+        assert at_end == "False"

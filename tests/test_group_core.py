@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import relabelled, relabelling
 from tpcalc import catalog as cat
 from tpcalc import coset_graph as cg
 from tpcalc import group_core as gc
@@ -150,20 +151,6 @@ def derived_tables(zoo):
             yield (name, "H", cls[0].elems), H
             for N in gc.lattice(H).normal:
                 yield (name, "H/N", cls[0].elems, N.elems), gc.quotient_group(H, N)[0]
-
-
-def relabelling(n: int, seed: int) -> np.ndarray:
-    """The permutation of 0..n-1 by which `relabelled` moves each element."""
-    return np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(n - 1)])
-
-
-def relabelled(G: gc.GroupTable, seed: int) -> gc.GroupTable:
-    """A fresh table isomorphic to G, its non-identity elements permuted:
-    element x of G is element perm[x] of the result."""
-    perm = relabelling(G.order, seed)
-    mul = np.empty_like(G.mul)
-    mul[np.ix_(perm, perm)] = perm[G.mul]
-    return gc.GroupTable(mul)
 
 
 def composed_table(degree: int, generators) -> tuple[np.ndarray, str]:
@@ -1008,16 +995,18 @@ def naive_cosets(G, H, side):
 
 class TestCosets:
     def test_against_element_set_oracle(self, zoo):
+        """The representatives are the fixed points of the least-element
+        map, which depend on the labelling: relabelled tables are checked too."""
         for name in ("s3", "a4", "s4", "q16", "c3_c4", "f20"):
-            G = zoo[name]
-            for H in gc.all_subgroups(G):
-                for side in ("left", "right"):
-                    got = gc.cosets(G, H, side)
-                    want = naive_cosets(G, H, side)
-                    assert got.reps == tuple(min(b) for b in want), (name, side)
-                    for i, block in enumerate(want):
-                        assert all(got.ids[x] == i for x in block), (name, side)
-                    assert not got.ids.flags.writeable
+            for G in (zoo[name], relabelled(zoo[name], 1), relabelled(zoo[name], 2)):
+                for H in gc.all_subgroups(G):
+                    for side in ("left", "right"):
+                        got = gc.cosets(G, H, side)
+                        want = naive_cosets(G, H, side)
+                        assert got.reps == tuple(min(b) for b in want), (name, side)
+                        for i, block in enumerate(want):
+                            assert all(got.ids[x] == i for x in block), (name, side)
+                        assert not got.ids.flags.writeable
 
     def test_bad_side_rejected(self, zoo):
         with pytest.raises(ParameterError):
@@ -1212,6 +1201,14 @@ class TestIsomorphism:
     def test_cap(self):
         with using(Limits(order=1)), pytest.raises(SizeLimitError):
             gc.is_isomorphic(gc.cyclic(2), gc.cyclic(2))
+
+    def test_trivial_map_is_refused(self, zoo):
+        """The map onto the identity passes the table check; only the
+        bijectivity test refuses it."""
+        G = zoo["s3"]
+        phi = np.zeros(G.order, dtype=np.int64)
+        assert np.array_equal(phi[G.mul], G.mul[phi[:, None], phi[None, :]])
+        assert not gc._is_full_isomorphism(G, G, phi)
 
     def test_equivalence_relation_on_pool(self, zoo):
         pool = [G for name, G in sorted(zoo.items()) if G.order <= 24]
