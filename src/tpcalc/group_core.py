@@ -20,12 +20,15 @@ stack and checks it against two classical counts. One primitive,
 with the least row of its class. A fresh table gets the stack from one pass of
 `all_subgroups`, which registers each whole stack of new subgroups with it and
 extends only each class's head: a normal one by its cosets, in stacks of one
-order, and any other by a batched breadth-first search. The pass keeps packed
-masks and class labels, and builds no `Subgroup` until it ends. A table built
-from another one by `subgroup_as_group` or `quotient_group` records its source,
-and once the source's lattice is built it takes its subgroups from the source's
-mask stack by the correspondence theorem instead of enumerating them again, and
-splits that finished stack with the same primitive, which must add no row.
+order, and any other by a batched breadth-first search. The normal path keeps
+H<r> only when r is its least element outside H and above a bound carried with
+H (canonical augmentation), so it seldom builds one subgroup twice. The pass
+keeps packed masks and class labels, and builds no `Subgroup` until it ends.
+A table built from another one by `subgroup_as_group` or `quotient_group`
+records its source, and once the source's lattice is built it takes its
+subgroups from the source's mask stack by the correspondence theorem instead
+of enumerating them again, and splits that finished stack with the same
+primitive, which must add no row.
 
 Only tables given from outside are validated. A subgroup or quotient table is
 carried from a validated parent by a checked map (the closure of H, the
@@ -791,6 +794,25 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
     The work list keeps normal subgroups apart by order, and a stack of them
     of one order is extended in one step. G itself is not extended.
 
+    The normal path builds most extensions from one parent only, by
+    canonical augmentation (McKay 1998) along the greedy generating sequence
+    of `_greedy_chain` (adjoin the least element not yet reached), whose last
+    element is λ(H). Each normal work item carries a bound b(H) <= λ(H): the
+    r it was kept with, or, when a seed or the batched path registered it,
+    its least non-identity element. H is extended only by coset
+    representatives r > b(H), and H<r> is kept only when r is its least
+    element outside H. Then λ(H<r>) >= r, since the elements of H<r> below r
+    all lie in H. Nothing is lost. Let P be the greedy parent of a
+    non-cyclic L, generated by L's greedy generators but the last, g; then
+    g = min(L - P) is the least element of its coset gP, and by induction
+    on |L| P's class is registered. If P is normal, L = P<g> passes both
+    tests, since b(P) <= λ(P) < g. If P is not normal, the batched search
+    from the head of P's class finds a conjugate of L, as above. When
+    b(H) = λ(H), H is the greedy parent of each L it keeps; so in an
+    abelian G whose cyclic subgroups are generated by their least
+    non-identity elements, such as an elementary abelian 2-group, each
+    non-cyclic subgroup is built exactly once.
+
     The extensions of several other work-list subgroups grow in one batched
     search of at most about GROW_CELLS mask cells: row i of a `(rows, n)`
     mask starts from H's elements with frontier H*r and generators
@@ -819,13 +841,17 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
     found: dict[bytes, int] = {}
     class_orders: list[int] = []  # by label, one per new row, unused if it heads no class
     work: list[tuple[np.ndarray, tuple[int, ...]]] = []  # (elements of H, generators of H)
-    normal: dict[int, list[tuple[np.ndarray, tuple[int, ...]]]] = {}  # the same, by order
+    # the same with the bound b(H), by order
+    normal: dict[int, list[tuple[np.ndarray, tuple[int, ...], int]]] = {}
     # the elements known to generate a registered cyclic subgroup
     generates_found = np.zeros(n, dtype=bool)
 
     # registers the classes of the new masks `new`, each labelled by its head,
-    # its least row in `new`, and puts the heads on the work lists
-    def register(new: np.ndarray, keys: list[bytes], gens: list[tuple[int, ...]]) -> None:
+    # its least row in `new`, and puts the heads on the work lists; a normal
+    # head's bound is its entry in `bounds`, or its least non-identity element
+    # if `bounds` is None
+    def register(new: np.ndarray, keys: list[bytes], gens: list[tuple[int, ...]],
+                 bounds: list[int] | None) -> None:
         keys, labels = _class_labels(perms, new, keys)
         found.update(zip(keys, (labels + len(class_orders)).tolist()))
         labels = labels.tolist()
@@ -837,8 +863,12 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
         start = 0
         for i, size in enumerate(sizes):
             if labels[i] == i and 1 < size < n:
-                pending = normal.setdefault(size, []) if members[i] == 1 else work
-                pending.append((flat[start:start + size], gens[i]))
+                elems = flat[start:start + size]
+                if members[i] > 1:
+                    work.append((elems, gens[i]))
+                else:
+                    bound = elems[1] if bounds is None else bounds[i]
+                    normal.setdefault(size, []).append((elems, gens[i], bound))
             start += size
 
     seeds: list[int] = []
@@ -855,11 +885,12 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
     mask = np.zeros((len(seeds), n), dtype=bool)
     for row, elems in zip(mask, seed_elems):
         row[elems] = True
-    register(mask, _packed_rows(mask), [(x,) for x in seeds])
+    register(mask, _packed_rows(mask), [(x,) for x in seeds], None)
     idx = np.arange(n)
     while work or normal:
         batch, cells = [], 0
-        if normal:
+        extends_normal = bool(normal)
+        if extends_normal:
             # pending normal subgroups of the greatest order, as many as fit
             order = max(normal)
             stack = normal[order]
@@ -876,7 +907,8 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
             if not stack:
                 del normal[order]
             owner, reps, reached = _normal_extensions(
-                G.mul, np.array([elems for elems, _ in batch]))
+                G.mul, np.array([elems for elems, _, _ in batch]),
+                np.array([bound for _, _, bound in batch]))
         else:
             while work and cells < GROW_CELLS:
                 elems, gens = work.pop()
@@ -909,9 +941,11 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
         new = reached[rows]
         del reached
         if rows:
-            gens = [batch[j][1] + (r,) for j, r in zip(owner[rows].tolist(), reps[rows].tolist())]
-            # two new rows may be conjugate; `register` gives them one class
-            register(new, [keys[i] for i in rows], gens)
+            r = reps[rows].tolist()
+            gens = [batch[j][1] + (x,) for j, x in zip(owner[rows].tolist(), r)]
+            # two new rows may be conjugate; `register` gives them one class.
+            # A row of the normal path gets the bound b = r
+            register(new, [keys[i] for i in rows], gens, r if extends_normal else None)
     keys = list(found)
     labels = np.fromiter(found.values(), dtype=np.intp, count=len(found))
     found.clear()
@@ -924,23 +958,39 @@ def all_subgroups(G: GroupTable) -> list[Subgroup]:
     return list(_lattice_of(G, masks, orders[rows], labels[rows]).subgroups)
 
 
-def _normal_extensions(mul: np.ndarray, elems: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                                                     np.ndarray]:
-    """Every extension <H, r> of the normal subgroups H whose ascending
-    elements are the rows of `elems` (all of one order), by the least
-    element r of each coset of H other than H itself. Returns, per extension,
-    the row j of its H, its r, and the `(extensions, n)` masks.
+def _normal_extensions(mul: np.ndarray, elems: np.ndarray,
+                       bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The extensions <H, r> of the normal subgroups H whose ascending
+    elements are the rows of `elems` (all of one order) by the least element
+    r of a coset of H, for each r above H's entry b(H) in `bounds` that is the
+    least element of <H, r> outside H. Returns, per extension, the row j of
+    its H, its r, and the `(extensions, n)` masks.
 
     For normal H, r^k*H = H*r^k, so the union of the cosets r^k*H over k
-    below the order of rH is closed under products: it is <H, r>. So each
-    row marks the elements of the cosets r^k*H, walking along the powers of
-    r from r^0 = 1 until one falls in H.
+    below the order of rH is closed under products: it is <H, r>. So the
+    least element of <H, r> outside H is the least of the cosets' least
+    elements for k >= 1, found by a walk along the powers of r before any
+    mask is allocated. Each kept row then marks the elements of the cosets
+    r^k*H, walking along the powers of r from r^0 = 1 until one falls in H.
     """
     n = mul.shape[0]
     # least[j, g]: the least element of the coset g*H_j
     least = mul[:, elems].min(axis=2).T
     owner, reps = np.nonzero(least == np.arange(n))
-    owner, reps = owner[reps != 0], reps[reps != 0]
+    keep = reps > bounds[owner]  # each bound is at least 1, so r = 0 (H itself) goes
+    owner, reps = owner[keep], reps[keep]
+    # low > r exactly when r is the least element of H<r> outside H. low is
+    # the least element of the cosets r^k*H, k >= 2 (n if there are none),
+    # walked until r^k falls in H or a coset's least element is below r
+    low = np.full(reps.size, n)
+    rows, power = np.arange(reps.size), reps
+    while rows.size:
+        power = mul[power, reps[rows]]
+        coset = least[owner[rows], power]
+        rows, power, coset = rows[coset != 0], power[coset != 0], coset[coset != 0]
+        low[rows] = np.minimum(low[rows], coset)
+        rows, power = rows[coset > reps[rows]], power[coset > reps[rows]]
+    owner, reps = owner[low > reps], reps[low > reps]
     masks = np.zeros((reps.size, n), dtype=bool)
     rows, power = np.arange(reps.size), np.zeros_like(reps)
     while rows.size:
@@ -1082,7 +1132,7 @@ def _packed_rows(masks: np.ndarray) -> list[bytes]:
     return packed.view(f"V{packed.shape[1]}").ravel().tolist()
 
 
-def _fresh_rows(keys: list[bytes], found: set[bytes]) -> list[int]:
+def _fresh_rows(keys: list[bytes], found: dict[bytes, int]) -> list[int]:
     """The first row of each key in `keys` that is not in `found`, in row
     order."""
     first: dict[bytes, int] = {}

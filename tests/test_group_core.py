@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import weakref
 from gc import collect
 
@@ -569,8 +570,34 @@ class TestSubgroupEnumeration:
     @pytest.mark.parametrize("p, r, want", [(2, 4, 67), (3, 3, 28), (5, 2, 8), (2, 6, 2825),
                                             (3, 4, 212), (5, 3, 64)])
     def test_elementary_abelian_counts(self, p, r, want):
+        """On the table and on relabelled copies, since which coset element
+        is least decides which extensions the normal path builds."""
         assert sum(gaussian_binomial(r, k, p) for k in range(r + 1)) == want
-        assert len(gc.all_subgroups(gc.elementary_abelian(p, r))) == want
+        G = gc.elementary_abelian(p, r)
+        assert len(gc.all_subgroups(G)) == want
+        for seed in range(6):
+            assert len(gc.all_subgroups(relabelled(G, seed))) == want, seed
+
+    def test_rank_two_abelian_counts(self):
+        """An independent count oracle: Z_m x Z_n has the sum of gcd(a, b)
+        over a | m and b | n subgroups (Hampejs, Holighaus, Toth & Wiesmeyr
+        2014). Each abelian group of rank at most two and order at most 128
+        once, as Z_m x Z_n with m | n, on three relabelled copies. The pass's
+        own counts (`_check_counts`) miss a lattice that lacks only some
+        non-cyclic subgroups of composite order."""
+        def divisors(k):
+            return [d for d in range(1, k + 1) if k % d == 0]
+
+        mismatches = []
+        for m in range(1, 12):
+            for n in range(m, 128 // m + 1, m):
+                want = sum(math.gcd(a, b) for a in divisors(m) for b in divisors(n))
+                G = gc.direct_product(gc.cyclic(m), gc.cyclic(n))
+                for seed in (0, 1, 2):
+                    got = len(gc.lattice(relabelled(G, seed)).subgroups)
+                    if got != want:
+                        mismatches.append((m, n, seed, got, want))
+        assert not mismatches
 
     def test_generators_match_reference_greedy(self, zoo):
         for name, G in zoo.items():
@@ -859,13 +886,39 @@ class TestLatticeOracle:
         assert len(lat.normal) == len(lat.subgroups) == len(lat.classes)
         assert_lattice_is_the_reference(lat, G, extend_every_subgroup(G), expr)
 
-    @pytest.mark.parametrize("expr", ["dp (dihedral 4) (elemab 2 2)",
-                                      "dp (dihedral 3) (elemab 2 2)"])
-    def test_mixed_stacks(self, monkeypatch, expr):
+    @pytest.mark.parametrize("expr", ["elemab 3 3", "dp (cyclic 4) (cyclic 4)",
+                                      "dp (quaternion 8) (elemab 2 2)"])
+    def test_normal_extensions_are_the_greedy_augmentations(self, expr):
+        """`_normal_extensions` builds <H, r> for exactly the r above H's
+        bound that are the least of their coset rH and the least element of
+        <H, r> outside H, checked against closures on a relabelled table,
+        for each stack of normal subgroups of one order with varied bounds."""
+        G = relabelled(presets.build_group(expr), 3)
+        lat = gc.lattice(G)
+        for order in range(2, G.order):
+            stack = [s for s in lat.normal if s.order == order]
+            if not stack:
+                continue
+            bounds = 1 + np.arange(len(stack)) % (G.order // 2)
+            owner, reps, masks = gc._normal_extensions(
+                G.mul, np.array([s.elem_array for s in stack]), bounds)
+            got = sorted(zip(owner.tolist(), reps.tolist(),
+                             (np.flatnonzero(m).tolist() for m in masks)))
+            want = []
+            for j, H in enumerate(stack):
+                for r in range(bounds[j] + 1, G.order):
+                    if G.mul[r, H.elem_array].min() == r != 0 and r not in H:
+                        L = gc.closure_of(G, list(H.elems) + [r])
+                        if np.setdiff1d(L, H.elem_array).min() == r:
+                            want.append((j, r, L.tolist()))
+            assert got == want, (expr, order)
+
+    @pytest.mark.parametrize("name", ["s4", "a5"])
+    def test_mixed_stacks(self, monkeypatch, catalog_groups, name):
         """Non-abelian groups in which one stack's new rows hold both normal
-        and non-normal subgroups, and a new key repeats within one stack. A
-        wrapper over `_fresh_rows` records each stack's keys and new rows,
-        to show that both occur."""
+        and non-normal subgroups, and a new key repeats within one stack of
+        the batched search. A wrapper over `_fresh_rows` records each
+        stack's keys and new rows, to show that both occur."""
         stacks = []
 
         def recording(keys, found):
@@ -873,14 +926,36 @@ class TestLatticeOracle:
             stacks.append((keys, [keys[i] for i in rows]))
             return rows
 
-        G = presets.build_group(expr)
+        G = catalog_groups[name]
         real = gc._fresh_rows
         monkeypatch.setattr(gc, "_fresh_rows", recording)
         lat = gc.lattice(gc.GroupTable(G.mul))
         normal = set(gc._packed_rows(np.array([s.mask for s in lat.normal])))
         assert any({k in normal for k in fresh} == {True, False} for _, fresh in stacks)
         assert any(keys.count(k) > 1 for keys, fresh in stacks for k in fresh)
-        assert_lattice_is_the_reference(lat, G, extend_every_subgroup(G), expr)
+        assert_lattice_is_the_reference(lat, G, extend_every_subgroup(G), name)
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_normal_path_builds_each_key_once(self, monkeypatch, seed):
+        """In an abelian group every subgroup is normal. In `elemab 2 6` the
+        least non-identity element of a cyclic subgroup generates it, so
+        each of the 2,761 non-cyclic subgroups is built once, from its
+        greedy parent, and no extension row is built twice. A wrapper over
+        `_normal_extensions` records the keys of the rows it builds."""
+        built = []
+
+        def recording(mul, elems, bounds):
+            owner, reps, masks = real(mul, elems, bounds)
+            built.extend(gc._packed_rows(masks))
+            return owner, reps, masks
+
+        G = gc.elementary_abelian(2, 6)
+        G = gc.GroupTable(G.mul) if seed is None else relabelled(G, seed)
+        real = gc._normal_extensions
+        monkeypatch.setattr(gc, "_normal_extensions", recording)
+        lat = gc.lattice(G)
+        cyclic = int(np.count_nonzero(lat.orders <= 2))
+        assert len(built) == len(set(built)) == len(lat.subgroups) - cyclic == 2761
 
     @pytest.mark.parametrize("name", ["s4", "psl3_2"])
     def test_conjugate_new_rows_in_one_stack(self, monkeypatch, catalog_groups, name):
