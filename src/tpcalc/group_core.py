@@ -293,8 +293,9 @@ class Subgroup:
 
     def __post_init__(self):
         elems = tuple(map(int, self.elems))
-        if not elems or elems[0] != 0 or list(elems) != sorted(set(elems)):
-            raise ParameterError("subgroup elements must be sorted, unique, and contain 0")
+        if (not elems or elems[0] != 0 or list(elems) != sorted(set(elems))
+                or elems[-1] >= self.parent.order):
+            raise ParameterError("subgroup elements must be sorted, unique, in range, with 0")
         arr = np.array(elems, dtype=np.int64)
         mask = np.zeros(self.parent.order, dtype=bool)
         mask[arr] = True
@@ -1008,7 +1009,7 @@ class Lattice:
     is row i of it."""
 
     subgroups: tuple[Subgroup, ...]            # sorted by (order, elems)
-    classes: tuple[tuple[Subgroup, ...], ...]  # each sorted, ordered by first member
+    classes: tuple[tuple[Subgroup, ...], ...]  # each sorted; by heads' tuples, not orders
     normal: tuple[Subgroup, ...]               # one-member classes, as subgroups
     masks: np.ndarray   # (subgroups, n) read-only booleans, in the order of `subgroups`
     orders: np.ndarray  # the order of each subgroup
@@ -1054,7 +1055,7 @@ def _lattice_of(G: GroupTable, masks: np.ndarray, orders: np.ndarray,
     members: dict[int, list[Subgroup]] = {}  # by label, each in canonical order
     for s, label in zip(subs, labels.tolist()):
         members.setdefault(label, []).append(s)
-    # the classes in canonical order, by the element tuples of their heads
+    # the classes in lexicographic order of their heads' element tuples: G's follows {1}
     heads = sorted(members, key=lambda label: members[label][0].elems)
     rank = np.empty(len(subs), dtype=np.intp)  # each label is below the row count
     rank[heads] = np.arange(len(heads))
@@ -1352,7 +1353,8 @@ def conjugator_count(G: GroupTable, H: Subgroup, K: Subgroup) -> int:
 def subgroup_conjugacy_classes(G: GroupTable,
                                subs: Sequence[Subgroup]) -> tuple[tuple[Subgroup, ...], ...]:
     """Partition of `subs`, closed under conjugation, into conjugacy classes by
-    `_closed_class_labels`: each class sorted, classes ordered by their first member."""
+    `_closed_class_labels`: each class sorted, the classes in lexicographic order
+    of their first members' element tuples, not by order."""
     subs = sorted(subs, key=lambda s: s.elems)
     labels = _closed_class_labels(G, np.array([s.mask for s in subs]))
     members: dict[int, list[Subgroup]] = {}  # by the least row of the class
@@ -1547,9 +1549,9 @@ def classify_structure(G: GroupTable) -> StructureReport:
     derived_length = len(series) - 1 if soluble else None
     abelian = G.is_abelian
     dedekind = len(lat.normal) == len(lat.subgroups)
-    nilpotent = _is_nilpotent(G, lat.subgroups)
+    nilpotent = _is_nilpotent(G, lat)
     supers_chief = _supersoluble_by_chief_series(G, lat.normal) if soluble else False
-    supers_maximal = _supersoluble_by_maximal_indices(G, lat.subgroups) if soluble else False
+    supers_maximal = _supersoluble_by_maximal_indices(G, lat) if soluble else False
     if supers_chief != supers_maximal:
         raise VerificationError(
             f"supersolubility tests disagree: chief={supers_chief} maximal={supers_maximal}")
@@ -1565,14 +1567,11 @@ def classify_structure(G: GroupTable) -> StructureReport:
     )
 
 
-def _is_nilpotent(G: GroupTable, subs: Sequence[Subgroup]) -> bool:
+def _is_nilpotent(G: GroupTable, lat: Lattice) -> bool:
     # nilpotent iff every Sylow subgroup is normal iff each is unique
     n = G.order
-    for p in prime_factors(n):
-        part = p ** padic_valuation(n, p)
-        if sum(1 for s in subs if s.order == part) != 1:
-            return False
-    return True
+    return all(np.count_nonzero(lat.orders == p ** padic_valuation(n, p)) == 1
+               for p in prime_factors(n))
 
 
 def _supersoluble_by_chief_series(G: GroupTable, normals: Sequence[Subgroup]) -> bool:
@@ -1586,26 +1585,28 @@ def _supersoluble_by_chief_series(G: GroupTable, normals: Sequence[Subgroup]) ->
     return True
 
 
-def _supersoluble_by_maximal_indices(G: GroupTable, subs: Sequence[Subgroup]) -> bool:
-    proper = [s for s in subs if s.order < G.order]
-    for H in proper:
-        is_maximal = not any(
-            K.order > H.order and K.order < G.order and K.contains_subgroup(H)
-            for K in proper)
-        if is_maximal and not is_prime(G.order // H.order):
+def _supersoluble_by_maximal_indices(G: GroupTable, lat: Lattice) -> bool:
+    """Huppert (1954): G is supersoluble iff every maximal subgroup has prime
+    index. A head, walked by descending order, is maximal when no member of a
+    maximal class found so far contains it: its overgroup may be any conjugate."""
+    maximal = np.zeros((0, G.order), dtype=bool)
+    for c, cls in sorted(enumerate(lat.classes), key=lambda item: -item[1][0].order):
+        H = cls[0]
+        if H.order == G.order or maximal[:, H.elem_array].all(axis=1).any():
+            continue
+        if not is_prime(H.index):
             return False
+        maximal = np.concatenate([maximal, lat.masks[lat.labels == c]])
     return True
 
 
 def has_section(G: GroupTable, X: GroupTable) -> tuple[bool, tuple[Subgroup, Subgroup] | None]:
-    """Whether some H <= G and N normal in H give H/N isomorphic to X."""
+    """Whether some H <= G and N normal in H give H/N isomorphic to X. A conjugate
+    of H has isomorphic sections, so the first hit in canonical order is a head."""
     if X.order == 1:
         t = trivial_subgroup(G)
         return True, (t, t)
-    subs = lattice(G).subgroups
-    if not any(s.order % X.order == 0 for s in subs):
-        return False, None
-    for H in subs:
+    for H in sorted((cls[0] for cls in lattice(G).classes), key=lambda s: (s.order, s.elems)):
         if H.order % X.order != 0:
             continue
         Hg = subgroup_as_group(G, H)

@@ -14,7 +14,6 @@ deterministic, so results are reproducible bit for bit.
 from __future__ import annotations
 
 import dataclasses
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -164,7 +163,7 @@ def verify_monotonicity(G: GroupTable, group_id: str = "") -> list[TheoremVerdic
         if is_abelian_subgroup(G, rep):
             tp_h = one
             # the subgroups N of G with 1 < |N| < |H| come first, after {1}
-            stop = bisect_left(lat.subgroups, rep.order, key=lambda s: s.order)
+            stop = np.searchsorted(lat.orders, rep.order)
             # row N lies inside H when it marks no element outside H
             inside = ~lat.masks[1:stop][:, ~rep.mask].any(axis=1)
             section_tps = [(order, one) for order in lat.orders[1:stop][inside].tolist()]
@@ -362,7 +361,7 @@ def _quarter_family_of(G: GroupTable) -> str | None:
 
 
 def _is_cyclic_subgroup(G: GroupTable, M: Subgroup) -> bool:
-    return any(int(G.element_orders[e]) == M.order for e in M.elems)
+    return bool((G.element_orders[M.elem_array] == M.order).any())
 
 
 def _excluded_prime_pair_values(tp_value: Fraction) -> list[tuple[tuple[int, int], Fraction]]:

@@ -1059,6 +1059,10 @@ class TestSubgroupBasics:
         with pytest.raises(ParameterError):
             gc.Subgroup(zoo["s3"], (0, 1))  # not closed unless 1 is an involution
 
+    def test_element_index_past_the_order_rejected(self):
+        with pytest.raises(ParameterError):
+            gc.Subgroup(gc.dihedral(4), (0, 8))
+
 
 def naive_cosets(G, H, side):
     """Oracle: the cosets as raw element sets, ordered by least element."""
@@ -1299,6 +1303,37 @@ class TestIsomorphism:
                         assert matrix[i][k]
 
 
+def pairwise_maximal_indices(G: gc.GroupTable, subs) -> bool:
+    """Oracle for `_supersoluble_by_maximal_indices`: a proper subgroup is
+    maximal when no other proper subgroup of greater order contains it, tested
+    on every pair, and every maximal subgroup must have prime index."""
+    proper = [s for s in subs if s.order < G.order]
+    for H in proper:
+        is_maximal = not any(K.order > H.order and K.contains_subgroup(H) for K in proper)
+        index = G.order // H.order
+        if is_maximal and any(index % d == 0 for d in range(2, index)):
+            return False
+    return True
+
+
+def section_walk(G: gc.GroupTable, X: gc.GroupTable):
+    """Oracle for `has_section`: every subgroup H of G in canonical order and,
+    for each, every normal subgroup N of H in its lattice's order; the first
+    (H, N) with H/N isomorphic to X, or None."""
+    for H in gc.lattice(G).subgroups:
+        if H.order % X.order:
+            continue
+        Hg = gc.subgroup_as_group(G, H)
+        for N in gc.lattice(Hg).normal:
+            if N.order * X.order == H.order and gc.is_isomorphic(gc.quotient_group(Hg, N)[0], X):
+                return H, gc.Subgroup(G, tuple(sorted(H.elems[i] for i in N.elems)))
+    return None
+
+
+# the sections the structure gates of `tp_engine.verify_structure_theorems` search for
+GATE_SECTIONS = ("a5", "a4", "dihedral 3", "dihedral 5", "dihedral 7")
+
+
 class TestStructure:
     def test_a4(self, zoo):
         rep = gc.classify_structure(zoo["a4"])
@@ -1325,6 +1360,53 @@ class TestStructure:
         assert gc.classify_structure(zoo["s3"]).is_supersoluble
         assert gc.classify_structure(zoo["c3_c4"]).is_supersoluble
         assert not gc.classify_structure(zoo["s4"]).is_supersoluble
+
+    def test_maximal_route_matches_the_pairwise_oracle(self, zoo, catalog_groups):
+        """On every zoo and builtin table, on a relabelled copy of each, and on
+        three products with many maximal classes of more than one member."""
+        tables = {**zoo, **catalog_groups}
+        for expr in ("dp (dihedral 3) (dihedral 3)", "dp (s4) (elemab 2 2)",
+                     "dp (dihedral 4) (elemab 2 2)"):
+            tables[expr] = presets.build_group(expr)
+        for name, G in tables.items():
+            for X in (G, relabelled(G, 1)):
+                lat = gc.lattice(X)
+                assert gc._supersoluble_by_maximal_indices(X, lat) \
+                    == pairwise_maximal_indices(X, lat.subgroups), name
+
+    def test_maximal_route_stacks_every_member_of_a_maximal_class(self):
+        """D3 x D3 is supersoluble. In this labelling some head lies only in
+        maximal subgroups that are not heads of their classes, so a stack of
+        heads alone would take it for a maximal subgroup of composite index."""
+        G = relabelled(presets.build_group("dp (dihedral 3) (dihedral 3)"), 23)
+        assert gc._supersoluble_by_maximal_indices(G, gc.lattice(G))
+        assert gc.classify_structure(G).is_supersoluble
+
+    def test_against_sympy(self):
+        """is_solvable, is_nilpotent and the derived length from sympy, on
+        groups built from the same permutation generators as the presets."""
+        pytest.importorskip("sympy")
+        from sympy.combinatorics import Permutation, PermutationGroup
+
+        groups = [
+            (presets.symmetric_4(), 4, [(1, 0, 2, 3), (1, 2, 3, 0)]),
+            (presets.alternating_4(), 4, [(1, 2, 0, 3), (1, 0, 3, 2)]),
+            (presets.alternating_5(), 5, [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)]),
+            (None, 5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]),  # S5
+            (presets.sl2_3(), 8, [(3, 7, 2, 6, 1, 5, 0, 4), (5, 2, 0, 6, 3, 1, 7, 4)]),
+            (presets.psl3_2(), 8, [(1, 2, 3, 4, 5, 6, 0, 7), (7, 6, 3, 2, 5, 4, 1, 0)]),
+        ]
+        for preset, degree, gens in groups:
+            G = gc.from_permutation_generators(degree, gens)
+            if preset is not None:
+                assert np.array_equal(G.mul, preset.mul)
+            P = PermutationGroup([Permutation(list(g)) for g in gens])
+            assert P.order() == G.order
+            rep = gc.classify_structure(G)
+            assert rep.is_soluble == P.is_solvable, G.order
+            assert rep.is_nilpotent == P.is_nilpotent, G.order
+            if rep.is_soluble:
+                assert rep.derived_length == len(P.derived_series()) - 1, G.order
 
     @staticmethod
     def _derived_series_oracle(G):
@@ -1364,6 +1446,14 @@ class TestStructure:
 
 
 class TestSections:
+    def test_witness_matches_the_walk_over_every_subgroup(self, catalog_groups):
+        """Only class heads are tried, but the first hit is the same."""
+        for X in map(presets.named, GATE_SECTIONS):
+            for name, G in catalog_groups.items():
+                found, witness = gc.has_section(G, X)
+                want = section_walk(G, X)
+                assert found == (want is not None) and witness == want, (name, X.order)
+
     def test_s4_has_a4_section(self, zoo):
         found, witness = gc.has_section(zoo["s4"], zoo["a4"])
         assert found
